@@ -11,10 +11,8 @@ from .core import (
     GridState,
     Params,
     PistonState,
-    log_potential_M,
     pressure_potential_Q,
     pressure_q,
-    stress_sigma,
 )
 from .coords import (
     CoeffPair,
@@ -31,8 +29,6 @@ from .diagnostics import (
     contact_time_lower_bound,
     energy,
     energy_budget_residual,
-    exponent_G,
-    total_mass,
     total_mass_eulerian,
 )
 from .run import (
@@ -89,9 +85,7 @@ __all__ = [
     "energy_budget_residual",
     "eta_update_inflow",
     "eta_update_outflow_picard",
-    "exponent_G",
     "lagrangian_init_from_eulerian",
-    "log_potential_M",
     "mass_coordinate_of",
     "momentum_piston_solve",
     "pressure_potential_Q",
@@ -100,9 +94,7 @@ __all__ = [
     "run_simulation",
     "snapshot_of",
     "step",
-    "stress_sigma",
     "switch_regime",
-    "total_mass",
     "total_mass_eulerian",
     "transport_update",
     "whole_horizon_fixed_point",

@@ -18,11 +18,12 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .coords import EulerianField
-from .diagnostics import CSV_COLUMNS, contact_time_lower_bound
+from .diagnostics import CSV_COLUMNS
 from .run import (
     EXIT_FAILURE,
     RunResult,
     build_initial_state,
+    contact_bound_of,
     run_simulation,
 )
 
@@ -138,18 +139,12 @@ def cmd_estimate_contact(args) -> int:
         config, numerics=dataclasses.replace(config.numerics, n_cells=coarse_cells)
     )
     result = simulate_scenario(coarse)
-    out = [r for r in result.series.records if r.regime == "outflow"]
-    if not out:
+    contact = contact_bound_of(result.series, config.schedule, result.event_time)
+    if contact is None:
         print("run never reached the outflow phase", file=sys.stderr)
         return EXIT_FAILURE
-    v_min = min(r.v_boundary for r in out)
-    eta_star = result.series.eta_star
-    t_star = result.series.t_star_actual
-    horizon = max(config.schedule.t_end, (result.event_time or 0.0) + 1.0)
-    bound = contact_time_lower_bound(
-        eta_star, config.schedule.u_out, v_min, t_star=t_star, t_end=horizon
-    )
-    print(f"eta at outflow start: {eta_star!r}")
+    v_min, bound = contact
+    print(f"eta at outflow start: {result.series.eta_star!r}")
     print(f"boundary specific volume lower bound: {v_min!r}")
     if math.isfinite(bound):
         print(f"contact/depletion cannot happen before t = {bound!r}")
@@ -160,7 +155,7 @@ def cmd_estimate_contact(args) -> int:
     else:
         print(f"coarse simulation completed without contact (t_end = "
               f"{config.schedule.t_end!r})")
-    return result.exit_code if result.exit_code != 0 else 0
+    return result.exit_code
 
 
 def cmd_verify(args) -> int:

@@ -16,11 +16,12 @@ of valid keys, and violated invariants are reported with their key path.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -59,58 +60,45 @@ class ScenarioConfig:
     outputs: OutputConfig
 
 
-_DEFAULTS: Dict[str, Dict[str, str]] = {
-    "params": {
-        "mu": "1.0",
-        "gamma": "1.4",
-        "stiffness_K": "1.0",
-        "damping_l": "0.5",
-        "b_rest": "1.0",
+#: default of every key; the type of the default is the type of the key.
+#: [params], [numerics] and [outputs] mirror their dataclasses field by field.
+_DEFAULTS: Dict[str, Dict[str, object]] = {
+    **{
+        section: {f.name: f.default for f in dataclasses.fields(cls)}
+        for section, cls in (
+            ("params", Params), ("numerics", NumericsConfig), ("outputs", OutputConfig)
+        )
     },
-    "numerics": {
-        "n_cells": "128",
-        "dt_initial": "1e-3",
-        "cfl_advection": "0.5",
-        "picard_tol": "1e-10",
-        "picard_max_iter": "25",
-        "theta_viscous": "1.0",
-        "dt_growth": "1.1",
-    },
-    "initial": {
-        "rho0": "constant:1.0",
-        "u0": "constant:0.0",
-        "b0": "2.0",
-        "b1": "0.0",
-    },
+    "initial": {"rho0": "constant:1.0", "u0": "constant:0.0", "b0": 2.0, "b1": 0.0},
     "schedule": {
-        "t_star": "0.5",
-        "t_end": "1.0",
+        "t_star": 0.5,
+        "t_end": 1.0,
         "u_in": "constant:0.1",
         "rho_in": "constant:1.0",
         "u_out": "constant:-0.1",
     },
-    "outputs": {
-        "directory": "out",
-        "series": "series.csv",
-        "snapshot_every": "0",
-        "summary": "summary.json",
-    },
 }
-
-_INT_KEYS = {"n_cells", "picard_max_iter", "snapshot_every"}
-_STR_KEYS = {"directory", "series", "summary", "rho0", "u0", "u_in", "rho_in", "u_out"}
 
 
 def _parse_scalar(section: str, key: str, raw: str):
-    if key in _STR_KEYS:
+    kind = type(_DEFAULTS[section][key])
+    if kind is str:
         return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        value = kind(raw)
     except ValueError as exc:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ConfigError(f"[{section}] {key}: expected {kind}, got {raw!r}") from exc
+        name = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key}: expected {name}, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
+
+
+def _finite_numbers(arg: str, keypath: str) -> List[float]:
+    values = [float(s) for s in arg.split(",")]
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{keypath}: preset arguments must be finite, got {arg!r}")
+    return values
 
 
 def _preset_function(
@@ -123,13 +111,13 @@ def _preset_function(
     name = name.strip().lower()
     try:
         if name == "constant":
-            value = float(arg)
+            (value,) = _finite_numbers(arg, keypath)
             return lambda t, _v=value: _v + 0.0 * t
         if name == "ramp":
-            v0, v1 = (float(s) for s in arg.split(","))
+            v0, v1 = _finite_numbers(arg, keypath)
             return lambda t, _a=v0, _b=v1: _a + (_b - _a) * (t - lo) / width
         if name == "sinusoid":
-            parts = [float(s) for s in arg.split(",")]
+            parts = _finite_numbers(arg, keypath)
             if len(parts) == 3:
                 mean, amp, cycles = parts
                 phase = 0.0
@@ -145,6 +133,8 @@ def _preset_function(
                 path = os.path.join(base_dir, path)
             table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
             ts, vs = table[:, 0], table[:, 1]
+            if not np.all(np.isfinite(table)):
+                raise ConfigError(f"{keypath}: tabulated values must be finite")
             if np.any(np.diff(ts) <= 0):
                 raise ConfigError(
                     f"{keypath}: tabulated abscissae must be strictly increasing"
@@ -169,11 +159,7 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
 
-    values: Dict[str, Dict[str, object]] = {}
-    for section, defaults in _DEFAULTS.items():
-        values[section] = {
-            key: _parse_scalar(section, key, raw) for key, raw in defaults.items()
-        }
+    values = {section: dict(defaults) for section, defaults in _DEFAULTS.items()}
     for section in parser.sections():
         if section not in _DEFAULTS:
             raise ConfigError(
@@ -239,16 +225,9 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"[schedule]: {exc}") from exc
 
-    out = values["outputs"]
-    snapshot_every = int(out["snapshot_every"])
-    if snapshot_every < 0:
+    if values["outputs"]["snapshot_every"] < 0:  # type: ignore[operator]
         raise ConfigError("[outputs] snapshot_every: must be nonnegative")
-    outputs = OutputConfig(
-        directory=str(out["directory"]),
-        series=str(out["series"]),
-        snapshot_every=snapshot_every,
-        summary=str(out["summary"]),
-    )
+    outputs = OutputConfig(**values["outputs"])  # type: ignore[arg-type]
     return ScenarioConfig(
         params=params,
         numerics=numerics,

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import GridState, PistonState, _frozen_array
+from .core import GridState, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -53,22 +53,17 @@ class EulerianField:
 class CoeffPair:
     """Fixed-domain coefficients alpha (scalar) and beta (per z sample).
 
-    ``eta`` and ``eta_dot`` are kept alongside so downstream code can
-    evaluate beta at other points of the linear profile exactly.
+    ``eta_dot`` is kept alongside: its sign sets the upwind direction.
     """
 
     alpha: float
     beta: np.ndarray
-    eta: float
     eta_dot: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", _frozen_array(self.beta, "beta"))
         if not self.alpha < 0.0:
             raise ValueError(f"alpha must be negative, got {self.alpha}")
-
-    def beta_at(self, z) -> np.ndarray:
-        return -np.asarray(z, dtype=float) * (self.eta_dot / self.eta)
 
 
 def mass_coordinate_of(field: EulerianField) -> Tuple[np.ndarray, float]:
@@ -109,7 +104,7 @@ def lagrangian_init_from_eulerian(field: EulerianField, n_cells: int) -> GridSta
     x_edges = np.interp(y_edges, chi, field.x)
     v = 1.0 / np.interp(x_centers, field.x, field.rho)
     u = np.interp(x_edges, field.x, field.u)
-    return GridState(v=v, u=u, eta=eta, n_cells=n_cells)
+    return GridState(v=v, u=u, eta=eta)
 
 
 def coefficients_alpha_beta(eta: float, eta_dot: float, z_samples) -> CoeffPair:
@@ -120,22 +115,20 @@ def coefficients_alpha_beta(eta: float, eta_dot: float, z_samples) -> CoeffPair:
     return CoeffPair(
         alpha=-1.0 / eta,
         beta=-z * (eta_dot / eta),
-        eta=float(eta),
         eta_dot=float(eta_dot),
     )
 
 
-def reconstruct_eulerian(state: GridState, piston: PistonState) -> EulerianField:
+def reconstruct_eulerian(state: GridState) -> EulerianField:
     """Rebuild the physical-space field from a grid state.
 
     Positions follow from accumulating the cell volumes v * dy starting at
     the open end, which is anchored at x = 0; the resulting domain length
     (the sum of all cell volumes) is the reconstruction's own estimate of the
-    piston position and is compared against ``piston.b`` by the b-consistency
-    monitor.  Density at the edges is 1 over the interpolated specific
-    volume.
+    piston position and is compared against the piston's b by the
+    b-consistency monitor.  Density at the edges is 1 over the interpolated
+    specific volume.
     """
-    del piston  # the monitor compares piston.b with the returned field's b
     n = state.n_cells
     widths = state.v * state.dy
     # open end first: x increases opposite to z

@@ -64,7 +64,6 @@ class GridState:
     v: np.ndarray
     u: np.ndarray
     eta: float
-    n_cells: Optional[int] = None
 
     def __post_init__(self) -> None:
         v = _frozen_array(self.v, "v")
@@ -72,10 +71,6 @@ class GridState:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "eta", float(self.eta))
-        if self.n_cells is None:
-            object.__setattr__(self, "n_cells", int(v.size))
-        if self.n_cells != v.size:
-            raise ValueError(f"n_cells={self.n_cells} does not match len(v)={v.size}")
         if u.size != v.size + 1:
             raise ValueError(
                 f"staggered layout requires len(u) == len(v) + 1, "
@@ -85,6 +80,10 @@ class GridState:
             raise ValueError("specific volume must be positive in every cell")
         if not self.eta > 0.0:
             raise ValueError(f"total mass eta must be positive, got {self.eta}")
+
+    @property
+    def n_cells(self) -> int:
+        return self.v.size
 
     @property
     def dz(self) -> float:
@@ -194,19 +193,3 @@ def pressure_potential_Q(v, gamma: float):
         raise ValueError(f"gamma must be > 1, got {gamma}")
     arr = _require_positive_volume(v)
     return arr ** (1.0 - gamma) / (1.0 - gamma)
-
-
-def log_potential_M(v, mu: float):
-    """Potential of mu / v, i.e. mu * log(v)."""
-    arr = _require_positive_volume(v)
-    return mu * np.log(arr)
-
-
-def stress_sigma(u_y, v, params: Params):
-    """Viscous-plus-pressure stress, mu * u_y / v - q(v).
-
-    ``u_y`` is the velocity gradient in the mass coordinate.  The traction
-    driving the piston is the negative of this value.
-    """
-    arr = _require_positive_volume(v)
-    return params.mu * np.asarray(u_y, dtype=float) / arr - pressure_q(arr, params.gamma)

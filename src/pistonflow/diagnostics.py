@@ -15,7 +15,7 @@ import numpy as np
 
 from .coords import reconstruct_eulerian
 from .core import Params, pressure_potential_Q
-from .solver import SimState, StateError
+from .solver import SimState
 
 #: slack factor for the pointwise 1/v exponential bound (discretization error
 #: on an analytically exact inequality)
@@ -72,14 +72,9 @@ class RunSeries:
         return np.array([getattr(r, name) for r in self.records])
 
 
-def total_mass(state: SimState) -> float:
-    """Total mass: exactly eta in the Lagrangian bookkeeping."""
-    return float(state.grid.eta)
-
-
 def total_mass_eulerian(state: SimState) -> float:
     """Cross-check of the mass by trapezoid over the reconstructed pipe."""
-    fld = reconstruct_eulerian(state.grid, state.piston)
+    fld = reconstruct_eulerian(state.grid)
     return float(np.trapezoid(fld.rho, fld.x))
 
 
@@ -104,11 +99,7 @@ def energy(state: SimState, params: Params) -> float:
     return fluid + piston + spring
 
 
-def energy_budget_residual(
-    series: Sequence[DiagRecord],
-    schedule,
-    params: Params,
-) -> float:
+def energy_budget_residual(series: Sequence[DiagRecord]) -> float:
     """Largest normalized defect of the discrete energy budget.
 
     The budget reads, for every recorded time,
@@ -120,7 +111,6 @@ def energy_budget_residual(
     flux terms recorded at the open end.  For a closed pipe the right side
     is E(0) and the residual measures pure discretization error.
     """
-    del schedule, params  # accumulators already carry the boundary data
     if len(series) < 2:
         raise ValueError("energy budget needs at least 2 records")
     e = np.array([r.energy for r in series])
@@ -131,44 +121,6 @@ def energy_budget_residual(
     residual = e + diss + damp + pout - e[0] - work
     scale = max(abs(e[0]), 1e-300)
     return float(np.max(np.abs(residual)) / scale)
-
-
-def exponent_G(
-    series: Sequence[DiagRecord], state: SimState, params: Params
-) -> float:
-    """Exponent of the pointwise lower bound on the specific volume.
-
-    Evaluated from the recorded outflow history and the current state:
-
-        G(t) = (b_dot(t) - b_dot(T*) + l (b(t) - b(T*))
-               + int_{T*}^t K (b - b_rest) ds
-               + sqrt(eta(T*)) (||u(t)||_2 + ||u(T*)||_2)) / mu
-
-    The monitored inequality is 1/v(t, .) <= 1/v(T*, .) * exp(G(t)) at
-    matching mass labels.
-    """
-    if state.regime != "outflow":
-        raise StateError("exponent_G is defined in the outflow regime only")
-    out = [r for r in series if r.regime == "outflow"]
-    u_now = velocity_l2(state)
-    if not out:
-        # the state itself is the outflow anchor (t = T*)
-        g = 2.0 * math.sqrt(state.grid.eta) * u_now / params.mu
-        return float(g)
-    ref = out[0]
-    times = np.array([r.t for r in out] + [state.t])
-    spring = np.array(
-        [params.stiffness_K * (r.b - params.b_rest) for r in out]
-        + [params.stiffness_K * (state.piston.b - params.b_rest)]
-    )
-    spring_integral = float(np.trapezoid(spring, times))
-    g = (
-        state.piston.b_dot - ref.b_dot
-        + params.damping_l * (state.piston.b - ref.b)
-        + spring_integral
-        + math.sqrt(ref.eta) * (u_now + ref.u_l2)
-    ) / params.mu
-    return float(g)
 
 
 def volume_bound_ratio(
@@ -193,31 +145,24 @@ def contact_time_lower_bound(
     eta0: float,
     u_out: Callable[[float], float],
     v_min_estimate: float,
-    v_init_min: Optional[float] = None,
     *,
     t_star: float = 0.0,
     t_end: float,
-    grid_points: int = 4097,
 ) -> float:
     """Earliest time the outflow could exhaust the initial mass.
 
     Solves  integral from t_star to T of (-u_out) / v_min_estimate = eta0
     by cumulative trapezoid bracketing plus bisection.  Returns +inf when
     the available outflux over [t_star, t_end] cannot deplete eta0.
-    ``v_init_min`` (the smallest initial specific volume) is accepted for
-    reporting symmetry and only validated; the defining integral uses the
-    boundary bound ``v_min_estimate``.
     """
     if not eta0 > 0.0:
         raise ValueError(f"eta0 must be positive, got {eta0}")
     if not v_min_estimate > 0.0:
         raise ValueError(f"v_min_estimate must be positive, got {v_min_estimate}")
-    if v_init_min is not None and not v_init_min > 0.0:
-        raise ValueError(f"v_init_min must be positive, got {v_init_min}")
     if not t_end > t_star:
         raise ValueError("t_end must exceed t_star")
 
-    ts = np.linspace(t_star, t_end, grid_points)
+    ts = np.linspace(t_star, t_end, 4097)
     flux = np.array([-float(u_out(t)) for t in ts]) / v_min_estimate
     if np.any(flux < -1e-12):
         raise ValueError("u_out must be nonpositive")

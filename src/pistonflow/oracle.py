@@ -282,7 +282,7 @@ def run_forced(
     u = np.array([complex(case.u(0.0, z)).real for z in z_edges])
     u[0] = float(case.b_dot(0.0))
     piston = PistonState(b=float(case.b(0.0)), b_dot=u[0])
-    grid = GridState(v=v, u=u, eta=float(case.eta(0.0)), n_cells=n_cells)
+    grid = GridState(v=v, u=u, eta=float(case.eta(0.0)))
 
     err_v = 0.0
     err_u = 0.0
@@ -296,7 +296,10 @@ def run_forced(
         eta_new = float(case.eta(t_new))
         coeffs = coefficients_alpha_beta(eta_mid, eta_dot, z_edges)
         if case.freeze_v:
-            v_mid = np.array([complex(case.v(t_new, z)).real for z in z_centers])
+            advected = GridState(
+                v=[complex(case.v(t_new, z)).real for z in z_centers],
+                u=grid.u, eta=eta_new,
+            )
         else:
             v_open = None
             if eta_dot > 0.0:
@@ -306,11 +309,9 @@ def run_forced(
                 v_open_end=v_open,
                 source=np.array([complex(case.f_v(tm, z)).real for z in z_centers]),
             )
-            v_mid = advected.v
-        mid = GridState(v=v_mid, u=grid.u, eta=eta_new, n_cells=n_cells)
         pin = float(case.b_dot(t_new)) if case.pin_piston else None
         u_new, piston = momentum_piston_solve(
-            mid, coeffs, piston, p,
+            advected, coeffs, piston, p,
             bc_open_end_velocity=complex(case.u(t_new, 1.0)).real,
             dt=dt_step,
             theta=theta,
@@ -320,7 +321,7 @@ def run_forced(
         )
         if case.pin_piston:
             piston = PistonState(b=float(case.b(t_new)), b_dot=float(pin))
-        grid = GridState(v=mid.v, u=u_new, eta=eta_new, n_cells=n_cells)
+        grid = GridState(v=advected.v, u=u_new, eta=eta_new)
         t = t_new
         v_exact = np.array([complex(case.v(t, z)).real for z in z_centers])
         u_exact = np.array([complex(case.u(t, z)).real for z in z_edges])

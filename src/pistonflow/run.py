@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .coords import EulerianField, lagrangian_init_from_eulerian
 from .core import BoundarySchedule, GridState, Params, PistonState, pressure_q
 from .diagnostics import (
+    TOL_BOUND,
     DiagRecord,
     RunSeries,
     energy,
@@ -140,7 +141,7 @@ def build_initial_state(
     u = np.array(grid.u)
     correction = abs(float(u[0]) - b1)
     u[0] = b1
-    grid = GridState(v=grid.v, u=u, eta=grid.eta, n_cells=cfg.n_cells)
+    grid = GridState(v=grid.v, u=u, eta=grid.eta)
     piston = PistonState(b=float(field_in.b), b_dot=float(b1))
     regime = "inflow" if schedule.t_star > 0.0 else "outflow"
     state = SimState(
@@ -176,8 +177,8 @@ class _GTracker:
     """Incremental evaluation of the exponential-bound exponent.
 
     Keeps the trapezoid of the spring term and the outflow-start reference
-    values so each step costs O(1); equivalent to ``exponent_G`` recomputed
-    from the full series.
+    values so each step costs O(1); equivalent to recomputing the exponent's
+    trapezoid over the full recorded outflow series.
     """
 
     ref_b: float
@@ -189,11 +190,15 @@ class _GTracker:
     spring_integral: float = 0.0
 
     @classmethod
-    def start(cls, state: SimState, u_l2: float, params: Params) -> "_GTracker":
+    def start(cls, series: RunSeries, state: SimState, params: Params) -> "_GTracker":
+        """Anchor the outflow references of the series and of G at ``state``."""
+        series.v_star = np.array(state.grid.v)
+        series.eta_star = float(state.grid.eta)
+        series.t_star_actual = state.t
         return cls(
             ref_b=state.piston.b,
             ref_b_dot=state.piston.b_dot,
-            ref_u_l2=u_l2,
+            ref_u_l2=velocity_l2(state),
             ref_eta_sqrt=math.sqrt(state.grid.eta),
             prev_t=state.t,
             prev_spring=params.stiffness_K * (state.piston.b - params.b_rest),
@@ -233,17 +238,18 @@ def _rates(state: SimState, schedule: BoundarySchedule, params: Params) -> _Rate
     return _Rates(dissipation, damping, outflux_pressure, boundary_work)
 
 
-def _make_record(
+def _record(
     state: SimState,
     schedule: BoundarySchedule,
     params: Params,
     series: RunSeries,
-    prev: Optional[DiagRecord],
-    rates: _Rates,
     prev_rates: Optional[_Rates],
     g_tracker: Optional[_GTracker],
-) -> DiagRecord:
+) -> _Rates:
+    """Append the diagnostics row of ``state``; returns its boundary rates."""
     grid = state.grid
+    rates = _rates(state, schedule, params)
+    prev = series.records[-1] if series.records else None
     if prev is None:
         diss_cum = damp_cum = pout_cum = work_cum = 0.0
     else:
@@ -269,7 +275,7 @@ def _make_record(
     series.b_drift_max = max(series.b_drift_max, abs(b_recon - state.piston.b))
     _, v_b, _ = _boundary_values(state, schedule)
 
-    return DiagRecord(
+    series.records.append(DiagRecord(
         t=state.t,
         b=state.piston.b,
         b_dot=state.piston.b_dot,
@@ -287,14 +293,8 @@ def _make_record(
         boundary_work_cum=work_cum,
         b_recon=b_recon,
         v_boundary=v_b,
-    )
-
-
-def _mark_outflow_start(series: RunSeries, state: SimState) -> None:
-    if series.v_star is None:
-        series.v_star = np.array(state.grid.v)
-        series.eta_star = float(state.grid.eta)
-        series.t_star_actual = state.t
+    ))
+    return rates
 
 
 def run_simulation(
@@ -310,19 +310,11 @@ def run_simulation(
     """Drive a full run from ``initial`` to t_end or a terminal event."""
     state = initial
     series = RunSeries()
-    snapshots: List[Snapshot] = []
     g_tracker: Optional[_GTracker] = None
     if state.regime == "outflow":
-        _mark_outflow_start(series, state)
-        g_tracker = _GTracker.start(state, velocity_l2(state), params)
-
-    rates = _rates(state, schedule, params)
-    record = _make_record(
-        state, schedule, params, series, None, rates, None, g_tracker
-    )
-    series.records.append(record)
-    if snapshot_every > 0:
-        snapshots.append(snapshot_of(state))
+        g_tracker = _GTracker.start(series, state, params)
+    rates = _record(state, schedule, params, series, None, g_tracker)
+    snapshots = [snapshot_of(state)] if snapshot_every > 0 else []
 
     exit_code = EXIT_COMPLETED
     event_time: Optional[float] = None
@@ -331,36 +323,18 @@ def run_simulation(
     eps = 1e-12 * max(1.0, schedule.t_end)
     try:
         while state.t < schedule.t_end - eps:
-            if (
-                state.regime == "inflow"
-                and state.t >= schedule.t_star - eps
-            ):
+            if state.regime == "inflow" and state.t >= schedule.t_star - eps:
                 state = switch_regime(state, schedule)
-                _mark_outflow_start(series, state)
-                g_tracker = _GTracker.start(state, velocity_l2(state), params)
+                g_tracker = _GTracker.start(series, state, params)
                 # zero-duration anchor record: outflow reference for the
                 # exponential bound and the regime flip of the boundary rates
-                prev_record = series.records[-1]
-                prev_rates = rates
-                rates = _rates(state, schedule, params)
-                record = _make_record(
-                    state, schedule, params, series, prev_record, rates,
-                    prev_rates, g_tracker,
-                )
-                series.records.append(record)
+                rates = _record(state, schedule, params, series, rates, g_tracker)
                 continue
-            prev_record = series.records[-1]
-            prev_rates = rates
             prev_eta = state.grid.eta
             state = step(state, schedule, params, cfg, stats)
             step_index += 1
             series.flux_accumulated += state.grid.eta - prev_eta
-            rates = _rates(state, schedule, params)
-            record = _make_record(
-                state, schedule, params, series, prev_record, rates,
-                prev_rates, g_tracker,
-            )
-            series.records.append(record)
+            rates = _record(state, schedule, params, series, rates, g_tracker)
             if progress is not None:
                 progress(state)
             if snapshot_every > 0 and step_index % snapshot_every == 0:
@@ -374,7 +348,7 @@ def run_simulation(
         series.failure_message = str(event)
 
     summary = _summarize(
-        series, schedule, params, exit_code, event_time, initial_bdot_correction
+        series, schedule, exit_code, event_time, initial_bdot_correction
     )
     summary["step_rejections"] = stats.get("rejections", 0)
     summary["picard_iterations_max"] = stats.get("picard_iterations_max", 0)
@@ -389,16 +363,42 @@ def run_simulation(
     )
 
 
+def contact_bound_of(
+    series: RunSeries, schedule: BoundarySchedule, event_time: Optional[float]
+) -> Optional[Tuple[float, float]]:
+    """Smallest recorded outflow boundary v and the T3 bound it gives.
+
+    The bound's horizon reaches one time unit past the event (or t_end).
+    None when the run never reached the outflow phase.
+    """
+    # imported at call time, so a wrapper set on the diagnostics module applies
+    from .diagnostics import contact_time_lower_bound
+
+    if series.eta_star is None or schedule.u_out is None:
+        return None
+    v_min = min(
+        (r.v_boundary for r in series.records if r.regime == "outflow"),
+        default=None,
+    )
+    if v_min is None:
+        return None
+    bound = contact_time_lower_bound(
+        series.eta_star,
+        schedule.u_out,
+        v_min,
+        t_star=series.t_star_actual,
+        t_end=max(schedule.t_end, (event_time or 0.0) + 1.0),
+    )
+    return v_min, bound
+
+
 def _summarize(
     series: RunSeries,
     schedule: BoundarySchedule,
-    params: Params,
     exit_code: int,
     event_time: Optional[float],
     initial_bdot_correction: float,
 ) -> dict:
-    from .diagnostics import contact_time_lower_bound
-
     records = series.records
     summary = {
         "status": _STATUS_BY_CODE[exit_code],
@@ -415,35 +415,23 @@ def _summarize(
         "g_bound_max_ratio": float(series.g_bound_max_ratio) or None,
     }
     if series.g_bound_max_ratio:
-        from .diagnostics import TOL_BOUND
-
         summary["g_bound_ok"] = bool(
             series.g_bound_max_ratio <= 1.0 + TOL_BOUND
         )
     if series.failure_message is not None:
         summary["failure_message"] = series.failure_message
     if len(records) >= 2:
-        summary["energy_budget_residual"] = energy_budget_residual(
-            records, schedule, params
+        summary["energy_budget_residual"] = energy_budget_residual(records)
+    contact = contact_bound_of(series, schedule, event_time)
+    if contact is not None:
+        bound = contact[1]
+        summary["contact_time_lower_bound"] = (
+            bound if math.isfinite(bound) else "inf"
         )
-    if series.eta_star is not None and schedule.u_out is not None:
-        out = [r for r in records if r.regime == "outflow"]
-        if out:
-            v_min_boundary = min(r.v_boundary for r in out)
-            bound = contact_time_lower_bound(
-                series.eta_star,
-                schedule.u_out,
-                v_min_boundary,
-                t_star=series.t_star_actual,
-                t_end=max(schedule.t_end, (event_time or 0.0) + 1.0),
+        if event_time is None:
+            summary["event_vs_bound_ok"] = True
+        else:
+            summary["event_vs_bound_ok"] = bool(
+                math.isfinite(bound) and event_time >= bound - 1e-9
             )
-            summary["contact_time_lower_bound"] = (
-                bound if math.isfinite(bound) else "inf"
-            )
-            if event_time is None:
-                summary["event_vs_bound_ok"] = True
-            else:
-                summary["event_vs_bound_ok"] = bool(
-                    math.isfinite(bound) and event_time >= bound - 1e-9
-                )
     return summary

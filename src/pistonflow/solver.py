@@ -6,7 +6,8 @@ field and the piston are advanced together in a single theta-implicit
 tridiagonal solve whose first row is the piston equation.  The total mass
 eta evolves by the boundary flux: prescribed during inflow, resolved by a
 within-step Picard iteration during outflow where the boundary density is
-part of the unknown.
+part of the unknown.  The whole-horizon fixed point resolves the outflow
+flux instead over a frozen mass trajectory, with the same split step.
 """
 
 from __future__ import annotations
@@ -75,6 +76,14 @@ class StateError(RuntimeError):
 
 Regime = Literal["inflow", "outflow"]
 
+#: contact threshold: the piston touches the closed end once b falls to it
+B_MIN = 1e-8
+#: depletion threshold: the multiplicative decay of eta never reaches 0 in
+#: floating point, so depletion fires at this absolute floor
+ETA_MIN = 1e-8
+#: halvings of dt allowed before a rejected step becomes a NumericalFailure
+MAX_HALVINGS = 40
+
 
 @dataclass(frozen=True)
 class NumericsConfig:
@@ -87,9 +96,6 @@ class NumericsConfig:
     picard_max_iter: int = 25
     theta_viscous: float = 1.0
     dt_growth: float = 1.1
-    b_min: float = 1e-8
-    eta_min: float = 1e-8
-    max_halvings: int = 40
 
     def __post_init__(self) -> None:
         if self.n_cells < 4:
@@ -187,7 +193,7 @@ def transport_update(
             f"specific volume nonpositive after transport update "
             f"(cell {worst}, v={v_new[worst]:.3e})"
         )
-    return GridState(v=v_new, u=grid.u, eta=grid.eta, n_cells=n)
+    return GridState(v=v_new, u=grid.u, eta=grid.eta)
 
 
 def momentum_piston_solve(
@@ -202,7 +208,6 @@ def momentum_piston_solve(
     source_u: Optional[np.ndarray] = None,
     source_piston: float = 0.0,
     pin_piston_to: Optional[float] = None,
-    b_min: float = 1e-8,
 ) -> Tuple[np.ndarray, PistonState]:
     """One theta-implicit momentum step, monolithically coupled to the piston.
 
@@ -281,8 +286,8 @@ def momentum_piston_solve(
 
     b_dot_new = float(u_new[0])
     b_new = piston.b + dt * b_dot_new
-    if b_new <= b_min:
-        frac = (piston.b - b_min) / max(piston.b - b_new, 1e-300)
+    if b_new <= B_MIN:
+        frac = (piston.b - B_MIN) / max(piston.b - b_new, 1e-300)
         raise ContactEvent(
             f"piston contact: b fell to {b_new:.3e}", fraction=min(max(frac, 0.0), 1.0)
         )
@@ -329,14 +334,10 @@ def eta_update_outflow_picard(
     eta_dot = u_out / grid.v[-1] if initial_guess is None else float(initial_guess)
     if eta_dot > 0.0:
         eta_dot = 0.0  # an inflow-phase hint is not admissible here
-    # the multiplicative decay of eta never reaches 0 in floating point, so
-    # depletion fires at an absolute floor (same spirit as the b_min contact
-    # threshold)
-    eta_floor = cfg.eta_min
 
     def _depletion_check(eta_new: float, eta_dot_used: float) -> None:
-        if eta_new <= eta_floor:
-            frac = (eta - eta_floor) / max(eta - eta_new, 1e-300)
+        if eta_new <= ETA_MIN:
+            frac = (eta - ETA_MIN) / max(eta - eta_new, 1e-300)
             raise MassDepletionEvent(
                 f"total mass exhausted (eta_dot={eta_dot_used:.3e})",
                 fraction=min(max(frac, 0.0), 1.0),
@@ -391,6 +392,34 @@ def _boundary_flux_estimate(state: SimState, schedule: BoundarySchedule) -> floa
     return float(schedule.u_out(state.t)) / state.grid.v[-1]
 
 
+def _split_step(
+    grid: GridState,
+    piston: PistonState,
+    eta_new: float,
+    eta_dot: float,
+    dt: float,
+    params: Params,
+    cfg: NumericsConfig,
+    bc_velocity: float,
+    v_open: Optional[float] = None,
+) -> Tuple[GridState, PistonState]:
+    """The operator-split step with the mass update already decided.
+
+    Coefficients at the midpoint mass, transport of v, then the monolithic
+    momentum/piston solve on the advected volumes.
+    """
+    coeffs = coefficients_alpha_beta(
+        0.5 * (grid.eta + eta_new), eta_dot, grid.z_edges
+    )
+    advected = transport_update(
+        grid, coeffs, dt, cfl_advection=cfg.cfl_advection, v_open_end=v_open
+    )
+    u_new, piston_new = momentum_piston_solve(
+        advected, coeffs, piston, params, bc_velocity, dt, theta=cfg.theta_viscous
+    )
+    return GridState(v=advected.v, u=u_new, eta=eta_new), piston_new
+
+
 def _attempt_step(
     state: SimState,
     dt: float,
@@ -416,21 +445,13 @@ def _attempt_step(
         v_open = None
         bc_velocity = float(schedule.u_out(t + dt))
 
-    coeffs = coefficients_alpha_beta(
-        0.5 * (grid.eta + eta_new), eta_dot, grid.z_edges
-    )
-    advected = transport_update(
-        grid, coeffs, dt, cfl_advection=cfg.cfl_advection, v_open_end=v_open
-    )
-    mid = GridState(v=advected.v, u=grid.u, eta=eta_new, n_cells=grid.n_cells)
     try:
-        u_new, piston_new = momentum_piston_solve(
-            mid, coeffs, state.piston, params, bc_velocity, dt,
-            theta=cfg.theta_viscous, b_min=cfg.b_min,
+        new_grid, piston_new = _split_step(
+            grid, state.piston, eta_new, eta_dot, dt, params, cfg, bc_velocity,
+            v_open,
         )
     except ContactEvent as event:
         raise ContactEvent(str(event), time=t + dt * event.fraction) from None
-    new_grid = GridState(v=mid.v, u=u_new, eta=eta_new, n_cells=grid.n_cells)
     return SimState(
         t=t + dt, grid=new_grid, piston=piston_new, regime=state.regime,
         dt_next=dt, eta_dot_hint=eta_dot if state.regime == "outflow" else None,
@@ -465,7 +486,7 @@ def step(
     )
     dt = min(dt_base, remaining)
     rejected = False
-    for _ in range(cfg.max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         try:
             new_state = _attempt_step(state, dt, schedule, params, cfg, stats)
         except MassDepletionEvent as event:
@@ -485,7 +506,7 @@ def step(
             base = dt_base if dt < dt_base else dt
         return dataclasses.replace(new_state, dt_next=cfg.dt_growth * base)
     raise NumericalFailure(
-        f"step at t={state.t:.6g} rejected after {cfg.max_halvings} halvings "
+        f"step at t={state.t:.6g} rejected after {MAX_HALVINGS} halvings "
         f"(dt={dt:.3e})"
     )
 
@@ -510,12 +531,11 @@ def whole_horizon_fixed_point(
     horizon: float,
     *,
     max_outer: int = 40,
-    m_factor: float = 10.0,
 ) -> Tuple[np.ndarray, List[float]]:
     """Outer fixed-point iteration for the outflow mass trajectory.
 
     A guess trajectory eta^k (piecewise linear, eta(T*) = eta0, slopes in
-    [-m, 0] with m = ``m_factor`` * eta0) is frozen, the flow is solved over
+    [-m, 0] with m = 10 * eta0) is frozen, the flow is solved over
     the horizon with the induced coefficients, and the mapped trajectory
 
         S(eta^k)(t) = eta0 + integral of u_out / v(boundary)
@@ -531,7 +551,7 @@ def whole_horizon_fixed_point(
         raise ValueError("horizon must be positive")
     t0 = initial.t
     eta0 = initial.grid.eta
-    m = m_factor * eta0
+    m = 10.0 * eta0
 
     flux0 = float(schedule.u_out(t0)) / initial.grid.v[-1]
     dt_cap = dt_stability_bound(initial.grid, flux0, params, cfg)
@@ -599,24 +619,15 @@ def _solve_with_frozen_eta(
     dt = float(times[1] - times[0])
     v_boundary = np.empty(n_steps)
     for i in range(n_steps):
-        if eta_traj[i + 1] <= cfg.eta_min:
+        eta_new = float(eta_traj[i + 1])
+        if eta_new <= ETA_MIN:
             raise MassDepletionEvent(
                 "frozen mass trajectory reaches zero inside the horizon",
                 time=float(times[i + 1]),
             )
-        eta_mid = 0.5 * (eta_traj[i] + eta_traj[i + 1])
-        coeffs = coefficients_alpha_beta(eta_mid, float(slopes[i]), grid.z_edges)
-        advected = transport_update(grid, coeffs, dt, cfl_advection=cfg.cfl_advection)
-        mid = GridState(
-            v=advected.v, u=grid.u, eta=float(eta_traj[i + 1]), n_cells=grid.n_cells
-        )
         bc_velocity = float(schedule.u_out(float(times[i + 1])))
-        u_new, piston = momentum_piston_solve(
-            mid, coeffs, piston, params, bc_velocity, dt,
-            theta=cfg.theta_viscous, b_min=cfg.b_min,
-        )
-        grid = GridState(
-            v=mid.v, u=u_new, eta=float(eta_traj[i + 1]), n_cells=grid.n_cells
+        grid, piston = _split_step(
+            grid, piston, eta_new, float(slopes[i]), dt, params, cfg, bc_velocity
         )
         v_boundary[i] = grid.v[-1]
     return v_boundary

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from pistonflow import NumericsConfig, Params
 from pistonflow.cli import main, render_series_csv, simulate_scenario
-from pistonflow.config import ConfigError, parse_config
+from pistonflow.config import ConfigError, OutputConfig, parse_config
 from pistonflow.diagnostics import CSV_COLUMNS
 from pistonflow.run import Snapshot, run_simulation
 
@@ -73,6 +74,12 @@ class TestParseConfig:
         assert cfg.initial.b0 == 2.0
         assert cfg.schedule.t_star == 0.5
         assert cfg.outputs.directory == "out"
+
+    def test_empty_text_gives_dataclass_defaults(self):
+        cfg = parse_config("")
+        assert cfg.params == Params()
+        assert cfg.numerics == NumericsConfig()
+        assert cfg.outputs == OutputConfig()
 
     def test_gamma_below_one_rejected_with_invariant(self):
         with pytest.raises(ConfigError, match="gamma must be > 1"):
@@ -222,6 +229,22 @@ class TestRunCommand:
         ini.write_text("[params]\ngamma = 0.5\n")
         code = main(["run", "--config", str(ini)])
         assert code == 4
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("initial", "b1", "nan"),
+        ("params", "b_rest", "nan"),
+        ("params", "mu", "inf"),
+        ("schedule", "u_out", "constant:nan"),
+        ("schedule", "t_end", "inf"),
+    ])
+    def test_non_finite_value_names_key_and_exits_four(
+        self, tmp_path, capsys, section, key, value
+    ):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[numerics]\nn_cells = 8\n[{section}]\n{key} = {value}\n")
+        code = main(["run", "--config", str(ini), "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert f"[{section}] {key}:" in capsys.readouterr().err
 
     def test_cells_override(self, tmp_path):
         ini = tmp_path / "of.ini"

@@ -6,7 +6,6 @@ import pytest
 from pistonflow import (
     EulerianField,
     GridState,
-    PistonState,
     coefficients_alpha_beta,
     lagrangian_init_from_eulerian,
     mass_coordinate_of,
@@ -90,7 +89,7 @@ class TestLagrangianInit:
     def roundtrip_error(n_cells):
         field = linear_density_field()
         g = lagrangian_init_from_eulerian(field, n_cells)
-        rec = reconstruct_eulerian(g, PistonState(b=1.0))
+        rec = reconstruct_eulerian(g)
         interior = slice(1, -1)
         rho_back = np.interp(field.x[interior], rec.x, rec.rho)
         return float(np.max(np.abs(rho_back - field.rho[interior])))
@@ -133,13 +132,13 @@ class TestCoefficients:
 class TestReconstruct:
     def test_uniform(self):
         g = GridState(v=np.ones(16), u=np.zeros(17), eta=1.0)
-        rec = reconstruct_eulerian(g, PistonState(b=1.0))
+        rec = reconstruct_eulerian(g)
         assert rec.b == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(rec.rho, 1.0, atol=1e-13)
 
     def test_constant(self):
         g = GridState(v=0.5 * np.ones(16), u=np.zeros(17), eta=6.0)
-        rec = reconstruct_eulerian(g, PistonState(b=3.0))
+        rec = reconstruct_eulerian(g)
         assert rec.b == pytest.approx(3.0, abs=1e-14)
         assert np.allclose(rec.rho, 2.0, atol=1e-13)
 
@@ -147,7 +146,7 @@ class TestReconstruct:
         n = 256
         z_c = (np.arange(n) + 0.5) / n
         g = GridState(v=1.0 + z_c, u=np.zeros(n + 1), eta=1.0)
-        rec = reconstruct_eulerian(g, PistonState(b=1.5))
+        rec = reconstruct_eulerian(g)
         # midpoint quadrature integrates the linear profile exactly
         assert rec.b == pytest.approx(1.5, abs=1e-12)
 
@@ -155,12 +154,12 @@ class TestReconstruct:
         rng = np.random.default_rng(7)
         v = 0.5 + rng.random(32)
         g = GridState(v=v, u=np.zeros(33), eta=2.0)
-        rec = reconstruct_eulerian(g, PistonState(b=1.0))
+        rec = reconstruct_eulerian(g)
         assert rec.b == float(np.cumsum((v * g.dy)[::-1])[-1])
 
     def test_field_invariants(self):
         g = GridState(v=np.linspace(0.5, 1.5, 16), u=np.zeros(17), eta=1.0)
-        rec = reconstruct_eulerian(g, PistonState(b=1.0))
+        rec = reconstruct_eulerian(g)
         assert rec.x[0] == 0.0
         assert np.all(np.diff(rec.x) > 0.0)
         assert np.all(rec.rho > 0.0)

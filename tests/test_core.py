@@ -1,7 +1,5 @@
 """Constitutive laws and state-type invariants."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +10,8 @@ from pistonflow import (
     GridState,
     Params,
     PistonState,
-    log_potential_M,
     pressure_potential_Q,
     pressure_q,
-    stress_sigma,
 )
 
 # frozen with mpmath (30 digits): 2**-1.4
@@ -79,49 +75,6 @@ class TestPressurePotentialQ:
     def test_requires_gamma_above_one(self):
         with pytest.raises(ValueError):
             pressure_potential_Q(1.0, 1.0)
-
-
-class TestLogPotentialM:
-    def test_log_one_is_zero(self):
-        assert log_potential_M(1.0, 0.7) == 0.0
-
-    def test_log_e_is_one(self):
-        assert log_potential_M(math.e, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_derivative(self):
-        d = central_diff(lambda v: log_potential_M(v, 2.0), 0.9)
-        assert d == pytest.approx(2.0 / 0.9, abs=1e-8)
-
-    @settings(max_examples=40, deadline=None)
-    @given(v=st.floats(0.1, 10.0), mu=st.floats(0.01, 5.0))
-    def test_derivative_property(self, v, mu):
-        d = central_diff(lambda x: log_potential_M(x, mu), v)
-        assert d == pytest.approx(mu / v, rel=1e-7, abs=1e-7)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_potential_M(0.0, 1.0)
-
-
-class TestStressSigma:
-    def test_pure_pressure(self):
-        p = Params(mu=1.0, gamma=1.4)
-        assert stress_sigma(0.0, 1.0, p) == -1.0
-
-    def test_two_term_arithmetic(self):
-        p = Params(mu=1.0, gamma=2.0)
-        assert stress_sigma(0.2, 2.0, p) == pytest.approx(-0.15, abs=1e-15)
-
-    def test_inviscid_limit(self):
-        # Params requires mu > 0; a subnormal viscosity realizes the limit
-        p = Params(mu=5e-324, gamma=1.4)
-        assert stress_sigma(123.456, 1.0, p) == -1.0
-
-    @settings(max_examples=40, deadline=None)
-    @given(v=st.floats(0.1, 10.0))
-    def test_zero_gradient_is_minus_q(self, v):
-        p = Params(mu=0.7, gamma=1.4)
-        assert stress_sigma(0.0, v, p) == -float(pressure_q(v, p.gamma))
 
 
 class TestParams:
