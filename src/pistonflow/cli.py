@@ -85,10 +85,13 @@ def _write_outputs(result: RunResult, config: ScenarioConfig, out_dir: str) -> N
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     numerics = config.numerics
-    if args.cells is not None:
-        numerics = dataclasses.replace(numerics, n_cells=args.cells)
-    if args.dt is not None:
-        numerics = dataclasses.replace(numerics, dt_initial=args.dt)
+    try:
+        if args.cells is not None:
+            numerics = dataclasses.replace(numerics, n_cells=args.cells)
+        if args.dt is not None:
+            numerics = dataclasses.replace(numerics, dt_initial=args.dt)
+    except ValueError as exc:
+        raise ConfigError(f"command-line override: {exc}") from exc
     outputs = config.outputs
     if args.out is not None:
         outputs = dataclasses.replace(outputs, directory=args.out)

@@ -238,6 +238,9 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))

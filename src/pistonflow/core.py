@@ -6,6 +6,8 @@ nondimensional throughout and the piston mass is fixed to 1.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -16,6 +18,14 @@ TimeFunction = Callable[[float], float]
 
 #: number of sample points used to validate boundary schedules
 _SCHEDULE_SAMPLES = 513
+
+
+@functools.lru_cache(maxsize=64)
+def _z_edges(n_cells: int) -> np.ndarray:
+    """Read-only cell-edge coordinates of the normalized grid (shared)."""
+    z = np.linspace(0.0, 1.0, n_cells + 1)
+    z.flags.writeable = False
+    return z
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -30,8 +40,8 @@ def _frozen_array(values, name: str) -> np.ndarray:
 class Params:
     """Physical constants: viscosity, adiabatic exponent, spring and damper.
 
-    ``b_rest`` is the rest position of the spring and may be any real number;
-    everything else must be strictly positive (and ``gamma`` > 1).
+    ``b_rest`` is the rest position of the spring and may be any finite real;
+    everything else must be strictly positive and finite (and ``gamma`` > 1).
     """
 
     mu: float = 1.0
@@ -41,14 +51,18 @@ class Params:
     b_rest: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must be > 1, got {self.gamma}")
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.stiffness_K > 0.0:
-            raise ValueError(f"stiffness_K must be > 0, got {self.stiffness_K}")
-        if not self.damping_l > 0.0:
-            raise ValueError(f"damping_l must be > 0, got {self.damping_l}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be > 1 and finite, got {self.gamma}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be > 0 and finite, got {self.mu}")
+        if not 0.0 < self.stiffness_K < math.inf:
+            raise ValueError(
+                f"stiffness_K must be > 0 and finite, got {self.stiffness_K}"
+            )
+        if not 0.0 < self.damping_l < math.inf:
+            raise ValueError(f"damping_l must be > 0 and finite, got {self.damping_l}")
+        if not math.isfinite(self.b_rest):
+            raise ValueError(f"b_rest must be finite, got {self.b_rest}")
 
 
 @dataclass(frozen=True)
@@ -76,10 +90,12 @@ class GridState:
                 f"staggered layout requires len(u) == len(v) + 1, "
                 f"got len(u)={u.size}, len(v)={v.size}"
             )
-        if not np.all(v > 0.0):
+        if not (v.size and v.min() > 0.0):  # NaN fails too
             raise ValueError("specific volume must be positive in every cell")
-        if not self.eta > 0.0:
-            raise ValueError(f"total mass eta must be positive, got {self.eta}")
+        if not (v.max() < math.inf and np.isfinite(u).all()):
+            raise ValueError("v and u must be finite in every cell and edge")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
 
     @property
     def n_cells(self) -> int:
@@ -96,7 +112,7 @@ class GridState:
 
     @property
     def z_edges(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_cells + 1)
+        return _z_edges(self.n_cells)
 
     @property
     def z_centers(self) -> np.ndarray:
@@ -119,6 +135,8 @@ class PistonState:
         object.__setattr__(self, "b_dot", float(self.b_dot))
         if not self.b > 0.0:
             raise ValueError(f"piston position must be positive, got {self.b}")
+        if not (math.isfinite(self.b) and math.isfinite(self.b_dot)):
+            raise ValueError(f"piston state must be finite, got {self.b}, {self.b_dot}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +191,7 @@ class BoundarySchedule:
 
 def _require_positive_volume(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError("specific volume must be positive")
     return arr
 

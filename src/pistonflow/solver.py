@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from typing import List, Literal, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .coords import CoeffPair, coefficients_alpha_beta
 from .core import BoundarySchedule, GridState, Params, PistonState, pressure_q
+from .core import _z_edges
 
 
 class SolverEvent(Exception):
@@ -100,18 +101,18 @@ class NumericsConfig:
     def __post_init__(self) -> None:
         if self.n_cells < 4:
             raise ValueError(f"n_cells must be at least 4, got {self.n_cells}")
-        if not self.dt_initial > 0.0:
-            raise ValueError("dt_initial must be positive")
+        if not 0.0 < self.dt_initial < math.inf:
+            raise ValueError("dt_initial must be positive and finite")
         if not 0.0 < self.cfl_advection <= 1.0:
             raise ValueError("cfl_advection must lie in (0, 1]")
-        if not self.picard_tol > 0.0:
-            raise ValueError("picard_tol must be positive")
+        if not 0.0 < self.picard_tol < math.inf:
+            raise ValueError("picard_tol must be positive and finite")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
         if not 0.5 <= self.theta_viscous <= 1.0:
             raise ValueError("theta_viscous must lie in [0.5, 1]")
-        if not self.dt_growth >= 1.0:
-            raise ValueError("dt_growth must be at least 1")
+        if not 1.0 <= self.dt_growth < math.inf:
+            raise ValueError("dt_growth must be at least 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,44 @@ class SimState:
                 f"velocity continuity violated: u[0]={self.grid.u[0]} "
                 f"!= b_dot={self.piston.b_dot}"
             )
-        if not self.dt_next > 0.0:
-            raise ValueError("dt_next must be positive")
+        if not 0.0 < self.dt_next < math.inf:
+            raise ValueError(f"dt_next must be positive and finite, got {self.dt_next}")
+
+
+def _transport(v: np.ndarray, u: np.ndarray, alpha: float, beta: np.ndarray,
+               eta_dot: float, dt: float, cfl: float, v_open: Optional[float] = None,
+               source: Optional[np.ndarray] = None) -> np.ndarray:
+    """Plain-array kernel of ``transport_update``: the new specific volume."""
+    dz = 1.0 / v.size
+    max_beta = float(np.abs(beta).max())
+    if max_beta * dt > cfl * dz * (1.0 + 1e-12):
+        raise CflViolation(
+            f"advective CFL violated: max|beta|*dt={max_beta * dt:.3e} "
+            f"> {cfl}*dz={cfl * dz:.3e}"
+        )
+    div = alpha * (u[1:] - u[:-1]) / dz
+    grad = np.zeros(v.size)
+    if eta_dot <= 0.0:
+        # beta >= 0: wind blows from the piston side; zero-gradient ghost there
+        grad[1:] = (v[1:] - v[:-1]) / dz
+    else:
+        # beta < 0: wind blows from the open end
+        grad[:-1] = (v[1:] - v[:-1]) / dz
+        if v_open is not None:
+            grad[-1] = (v_open - v[-1]) / (0.5 * dz)
+    beta_centers = 0.5 * (beta[:-1] + beta[1:])
+    v_new = v + dt * (div - beta_centers * grad)
+    if source is not None:
+        v_new = v_new + dt * np.asarray(source, dtype=float)
+    if not v_new.min() > 0.0:  # NaN fails too, with GridState's ValueError
+        if (v_new <= 0.0).any():
+            worst = int(np.argmin(v_new))
+            raise VacuumError(
+                f"specific volume nonpositive after transport update "
+                f"(cell {worst}, v={v_new[worst]:.3e})"
+            )
+        raise ValueError("specific volume must be positive in every cell")
+    return v_new
 
 
 def transport_update(
@@ -161,39 +198,82 @@ def transport_update(
     an outgoing characteristic and the boundary cell is extrapolated.
     ``coeffs.beta`` must be sampled on the cell edges.
     """
-    n = grid.n_cells
-    dz = grid.dz
-    beta = coeffs.beta
-    if beta.size != n + 1:
+    if coeffs.beta.size != grid.n_cells + 1:
         raise ValueError("coeffs.beta must be sampled on the cell edges")
-    max_beta = float(np.max(np.abs(beta)))
-    if max_beta * dt > cfl_advection * dz * (1.0 + 1e-12):
-        raise CflViolation(
-            f"advective CFL violated: max|beta|*dt={max_beta * dt:.3e} "
-            f"> {cfl_advection}*dz={cfl_advection * dz:.3e}"
-        )
-    v = grid.v
-    div = coeffs.alpha * np.diff(grid.u) / dz
-    grad = np.zeros_like(v)
-    if coeffs.eta_dot <= 0.0:
-        # beta >= 0: wind blows from the piston side; zero-gradient ghost there
-        grad[1:] = (v[1:] - v[:-1]) / dz
-    else:
-        # beta < 0: wind blows from the open end
-        grad[:-1] = (v[1:] - v[:-1]) / dz
-        if v_open_end is not None:
-            grad[-1] = (v_open_end - v[-1]) / (0.5 * dz)
-    beta_centers = 0.5 * (beta[:-1] + beta[1:])
-    v_new = v + dt * (div - beta_centers * grad)
-    if source is not None:
-        v_new = v_new + dt * np.asarray(source, dtype=float)
-    if np.any(v_new <= 0.0):
-        worst = int(np.argmin(v_new))
-        raise VacuumError(
-            f"specific volume nonpositive after transport update "
-            f"(cell {worst}, v={v_new[worst]:.3e})"
-        )
+    v_new = _transport(grid.v, grid.u, coeffs.alpha, coeffs.beta, coeffs.eta_dot,
+                       dt, cfl_advection, v_open_end, source)
     return GridState(v=v_new, u=grid.u, eta=grid.eta)
+
+
+def _momentum(v: np.ndarray, u: np.ndarray, alpha: float, beta: np.ndarray,
+              eta_dot: float, b: float, b_dot: float, params: Params,
+              bc_velocity: float, dt: float, theta: float,
+              source_u: Optional[np.ndarray] = None, source_piston: float = 0.0,
+              pin_piston_to: Optional[float] = None) -> Tuple[np.ndarray, float, float]:
+    """Plain-array kernel of ``momentum_piston_solve``: (u_new, b_new, b_dot_new).
+
+    Calls LAPACK dgtsv as ``solve_banded((1, 1), ...)`` does, finiteness check too.
+    """
+    n = v.size
+    dz = 1.0 / n
+    mu, K, l = params.mu, params.stiffness_K, params.damping_l
+
+    q = pressure_q(v, params.gamma)
+    lam = mu * alpha * alpha / (dz * dz)
+
+    work = np.zeros((4, n + 1))
+    # lower[j] couples row j to u[j-1], upper[j] row j to u[j+1]
+    diag, lower, upper, rhs = work
+
+    # interior edges j = 1..n-1: cell j sits right of edge j (toward the
+    # open end), cell j-1 left of it (toward the piston); du[j] = u[j+1] - u[j]
+    inv_v = 1.0 / v
+    inv_r, inv_l = inv_v[1:], inv_v[:-1]
+    du = u[1:] - u[:-1]
+    visc_expl = lam * (du[1:] * inv_r - du[:-1] * inv_l)
+    press = -alpha * (q[1:] - q[:-1]) / dz
+    if eta_dot <= 0.0:
+        adv = beta[1:-1] * du[:-1] / dz
+    else:
+        adv = beta[1:-1] * du[1:] / dz
+    rhs[1:-1] = u[1:-1] + dt * (-adv + (1.0 - theta) * visc_expl + press)
+    if source_u is not None:
+        rhs[1:-1] += dt * np.asarray(source_u, dtype=float)[1:-1]
+    c = dt * theta * lam
+    diag[1:-1] = 1.0 + c * (inv_r + inv_l)
+    upper[1:-1] = -c * inv_r
+    lower[1:-1] = -c * inv_l
+
+    # piston row (edge 0)
+    if pin_piston_to is not None:
+        diag[0] = 1.0
+        rhs[0] = float(pin_piston_to)
+    else:
+        g = mu * alpha / (dz * v[0])  # traction gradient factor, negative
+        diag[0] = 1.0 + dt * l - dt * theta * g
+        upper[0] = dt * theta * g
+        rhs[0] = b_dot + dt * (q[0] - K * (b - params.b_rest) + source_piston
+                               - g * (1.0 - theta) * (u[1] - u[0]))
+
+    # open end row (edge n): Dirichlet
+    diag[-1] = 1.0
+    rhs[-1] = float(bc_velocity)
+
+    if not np.isfinite(work).all():
+        raise ValueError("momentum system: array must not contain infs or NaNs")
+    # work is scratch: dgtsv may overwrite all four rows in place
+    _, _, _, u_new, info = dgtsv(lower[1:], diag, upper[:-1], rhs, 1, 1, 1, 1)
+    if info > 0:  # pragma: no cover - guarded by v > 0
+        raise NumericalFailure(f"singular momentum system (dgtsv info={info})")
+
+    b_dot_new = float(u_new[0])
+    b_new = b + dt * b_dot_new
+    if b_new <= B_MIN:
+        frac = (b - B_MIN) / max(b - b_new, 1e-300)
+        raise ContactEvent(
+            f"piston contact: b fell to {b_new:.3e}", fraction=min(max(frac, 0.0), 1.0)
+        )
+    return u_new, b_new, b_dot_new
 
 
 def momentum_piston_solve(
@@ -224,73 +304,10 @@ def momentum_piston_solve(
     and ``source_piston`` add manufactured forcings; ``pin_piston_to``
     replaces the piston row by a Dirichlet value for verification runs.
     """
-    n = grid.n_cells
-    dz = grid.dz
-    v, u = grid.v, grid.u
-    alpha = coeffs.alpha
-    beta = coeffs.beta
-    mu, K, l = params.mu, params.stiffness_K, params.damping_l
-
-    q = pressure_q(v, params.gamma)
-    lam = mu * alpha * alpha / (dz * dz)
-
-    diag = np.ones(n + 1)
-    lower = np.zeros(n + 1)  # lower[j] couples row j to u[j-1]
-    upper = np.zeros(n + 1)  # upper[j] couples row j to u[j+1]
-    rhs = np.empty(n + 1)
-
-    # interior edges j = 1..n-1: cell j sits right of edge j (toward the
-    # open end), cell j-1 left of it (toward the piston)
-    inv_r = 1.0 / v[1:]
-    inv_l = 1.0 / v[:-1]
-    visc_expl = lam * ((u[2:] - u[1:-1]) * inv_r - (u[1:-1] - u[:-2]) * inv_l)
-    press = -alpha * (q[1:] - q[:-1]) / dz
-    if coeffs.eta_dot <= 0.0:
-        adv = beta[1:-1] * (u[1:-1] - u[:-2]) / dz
-    else:
-        adv = beta[1:-1] * (u[2:] - u[1:-1]) / dz
-    rhs[1:-1] = u[1:-1] + dt * (-adv + (1.0 - theta) * visc_expl + press)
-    if source_u is not None:
-        src = np.asarray(source_u, dtype=float)
-        rhs[1:-1] += dt * src[1:-1]
-    c = dt * theta * lam
-    diag[1:-1] = 1.0 + c * (inv_r + inv_l)
-    upper[1:-1] = -c * inv_r
-    lower[1:-1] = -c * inv_l
-
-    # piston row (edge 0)
-    if pin_piston_to is not None:
-        rhs[0] = float(pin_piston_to)
-    else:
-        g = mu * alpha / (dz * v[0])  # traction gradient factor, negative
-        diag[0] = 1.0 + dt * l - dt * theta * g
-        upper[0] = dt * theta * g
-        rhs[0] = piston.b_dot + dt * (
-            q[0]
-            - K * (piston.b - params.b_rest)
-            + source_piston
-            - g * (1.0 - theta) * (u[1] - u[0])
-        )
-
-    # open end row (edge n): Dirichlet
-    rhs[-1] = float(bc_open_end_velocity)
-
-    ab = np.zeros((3, n + 1))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        u_new = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by v > 0
-        raise NumericalFailure(f"singular momentum system: {exc}") from exc
-
-    b_dot_new = float(u_new[0])
-    b_new = piston.b + dt * b_dot_new
-    if b_new <= B_MIN:
-        frac = (piston.b - B_MIN) / max(piston.b - b_new, 1e-300)
-        raise ContactEvent(
-            f"piston contact: b fell to {b_new:.3e}", fraction=min(max(frac, 0.0), 1.0)
-        )
+    u_new, b_new, b_dot_new = _momentum(
+        grid.v, grid.u, coeffs.alpha, coeffs.beta, coeffs.eta_dot, piston.b,
+        piston.b_dot, params, bc_open_end_velocity, dt, theta, source_u,
+        source_piston, pin_piston_to)
     return u_new, PistonState(b=b_new, b_dot=b_dot_new)
 
 
@@ -329,9 +346,9 @@ def eta_update_outflow_picard(
     """
     tm = t + 0.5 * dt
     u_out = float(schedule.u_out(tm))
+    v, u, eta = grid.v, grid.u, grid.eta
     z_edges = grid.z_edges
-    eta = grid.eta
-    eta_dot = u_out / grid.v[-1] if initial_guess is None else float(initial_guess)
+    eta_dot = u_out / v[-1] if initial_guess is None else float(initial_guess)
     if eta_dot > 0.0:
         eta_dot = 0.0  # an inflow-phase hint is not admissible here
 
@@ -347,10 +364,10 @@ def eta_update_outflow_picard(
         eta_new = eta + dt * eta_dot
         _depletion_check(eta_new, eta_dot)
         coeffs = coefficients_alpha_beta(0.5 * (eta + eta_new), eta_dot, z_edges)
-        provisional = transport_update(
-            grid, coeffs, dt, cfl_advection=cfg.cfl_advection
+        provisional = _transport(
+            v, u, coeffs.alpha, coeffs.beta, eta_dot, dt, cfg.cfl_advection
         )
-        eta_dot_next = u_out / provisional.v[-1]
+        eta_dot_next = u_out / provisional[-1]
         change = abs(eta_dot_next - eta_dot)
         if residual_history is not None:
             residual_history.append(change)
@@ -365,11 +382,6 @@ def eta_update_outflow_picard(
     )
 
 
-def _lagrangian_sound_speed(v: np.ndarray, gamma: float) -> float:
-    """Largest characteristic speed sqrt(-q'(v)) over the grid."""
-    return float(np.sqrt(gamma) * np.max(v ** (-0.5 * (gamma + 1.0))))
-
-
 def dt_stability_bound(
     grid: GridState, eta_dot_estimate: float, params: Params, cfg: NumericsConfig
 ) -> float:
@@ -380,7 +392,9 @@ def dt_stability_bound(
     the advective speed is at most |eta_dot| / eta.
     """
     speed = abs(eta_dot_estimate) / grid.eta
-    speed += _lagrangian_sound_speed(grid.v, params.gamma) / grid.eta
+    gamma = params.gamma
+    # largest characteristic speed sqrt(-q'(v)) over the grid
+    speed += float(np.sqrt(gamma) * (grid.v ** (-0.5 * (gamma + 1.0))).max()) / grid.eta
     if speed <= 0.0:
         return math.inf
     return cfg.cfl_advection * grid.dz / speed
@@ -392,70 +406,21 @@ def _boundary_flux_estimate(state: SimState, schedule: BoundarySchedule) -> floa
     return float(schedule.u_out(state.t)) / state.grid.v[-1]
 
 
-def _split_step(
-    grid: GridState,
-    piston: PistonState,
-    eta_new: float,
-    eta_dot: float,
-    dt: float,
-    params: Params,
-    cfg: NumericsConfig,
-    bc_velocity: float,
-    v_open: Optional[float] = None,
-) -> Tuple[GridState, PistonState]:
-    """The operator-split step with the mass update already decided.
+def _split_step(v: np.ndarray, u: np.ndarray, eta: float, b: float, b_dot: float,
+                eta_new: float, eta_dot: float, dt: float, params: Params,
+                cfg: NumericsConfig, bc_velocity: float, v_open: Optional[float] = None,
+                ) -> Tuple[np.ndarray, np.ndarray, float, float]:
+    """The operator-split step on plain arrays, mass update already decided.
 
     Coefficients at the midpoint mass, transport of v, then the monolithic
-    momentum/piston solve on the advected volumes.
+    momentum/piston solve on the advected volumes: (v, u, b, b_dot) after it.
     """
-    coeffs = coefficients_alpha_beta(
-        0.5 * (grid.eta + eta_new), eta_dot, grid.z_edges
-    )
-    advected = transport_update(
-        grid, coeffs, dt, cfl_advection=cfg.cfl_advection, v_open_end=v_open
-    )
-    u_new, piston_new = momentum_piston_solve(
-        advected, coeffs, piston, params, bc_velocity, dt, theta=cfg.theta_viscous
-    )
-    return GridState(v=advected.v, u=u_new, eta=eta_new), piston_new
-
-
-def _attempt_step(
-    state: SimState,
-    dt: float,
-    schedule: BoundarySchedule,
-    params: Params,
-    cfg: NumericsConfig,
-    stats: Optional[dict] = None,
-) -> SimState:
-    grid = state.grid
-    t = state.t
-    if state.regime == "inflow":
-        eta_new, eta_dot = eta_update_inflow(grid.eta, t, dt, schedule)
-        v_open = 1.0 / float(schedule.rho_in(t + 0.5 * dt))
-        bc_velocity = float(schedule.u_in(t + dt))
-    else:
-        eta_new, eta_dot, iters = eta_update_outflow_picard(
-            grid, t, dt, schedule, cfg, initial_guess=state.eta_dot_hint
-        )
-        if stats is not None:
-            stats["picard_iterations_max"] = max(
-                stats.get("picard_iterations_max", 0), iters
-            )
-        v_open = None
-        bc_velocity = float(schedule.u_out(t + dt))
-
-    try:
-        new_grid, piston_new = _split_step(
-            grid, state.piston, eta_new, eta_dot, dt, params, cfg, bc_velocity,
-            v_open,
-        )
-    except ContactEvent as event:
-        raise ContactEvent(str(event), time=t + dt * event.fraction) from None
-    return SimState(
-        t=t + dt, grid=new_grid, piston=piston_new, regime=state.regime,
-        dt_next=dt, eta_dot_hint=eta_dot if state.regime == "outflow" else None,
-    )
+    coeffs = coefficients_alpha_beta(0.5 * (eta + eta_new), eta_dot, _z_edges(v.size))
+    alpha, beta = coeffs.alpha, coeffs.beta
+    v_new = _transport(v, u, alpha, beta, eta_dot, dt, cfg.cfl_advection, v_open)
+    u_new, b_new, b_dot_new = _momentum(v_new, u, alpha, beta, eta_dot, b, b_dot,
+                                        params, bc_velocity, dt, cfg.theta_viscous)
+    return v_new, u_new, b_new, b_dot_new
 
 
 def step(
@@ -473,26 +438,37 @@ def step(
     and mass-depletion events propagate with interpolated absolute times.
     ``stats``, when given, counts rejections and Picard iterations.
     """
-    horizon = schedule.t_star if (
-        state.regime == "inflow" and state.t < schedule.t_star
-    ) else schedule.t_end
-    remaining = horizon - state.t
+    grid, t, outflow = state.grid, state.t, state.regime == "outflow"
+    horizon = schedule.t_star if not outflow and t < schedule.t_star else schedule.t_end
+    remaining = horizon - t
     if remaining <= 1e-14 * max(1.0, abs(horizon)):
-        raise StateError(f"no time left before t={horizon} (state.t={state.t})")
+        raise StateError(f"no time left before t={horizon} (state.t={t})")
 
     flux_est = _boundary_flux_estimate(state, schedule)
-    dt_base = min(
-        state.dt_next, dt_stability_bound(state.grid, flux_est, params, cfg)
-    )
+    dt_base = min(state.dt_next, dt_stability_bound(grid, flux_est, params, cfg))
     dt = min(dt_base, remaining)
     rejected = False
     for _ in range(MAX_HALVINGS + 1):
         try:
-            new_state = _attempt_step(state, dt, schedule, params, cfg, stats)
-        except MassDepletionEvent as event:
-            raise MassDepletionEvent(
-                str(event), time=state.t + dt * event.fraction
-            ) from None
+            if outflow:
+                eta_new, eta_dot, iters = eta_update_outflow_picard(
+                    grid, t, dt, schedule, cfg, initial_guess=state.eta_dot_hint
+                )
+                if stats is not None:
+                    stats["picard_iterations_max"] = max(
+                        stats.get("picard_iterations_max", 0), iters
+                    )
+                v_open, bc_velocity = None, float(schedule.u_out(t + dt))
+            else:
+                eta_new, eta_dot = eta_update_inflow(grid.eta, t, dt, schedule)
+                v_open = 1.0 / float(schedule.rho_in(t + 0.5 * dt))
+                bc_velocity = float(schedule.u_in(t + dt))
+            v, u, b, b_dot = _split_step(
+                grid.v, grid.u, grid.eta, state.piston.b, state.piston.b_dot,
+                eta_new, eta_dot, dt, params, cfg, bc_velocity, v_open,
+            )
+        except (ContactEvent, MassDepletionEvent) as event:
+            raise type(event)(str(event), time=t + dt * event.fraction) from None
         except StepRejected:
             rejected = True
             if stats is not None:
@@ -504,10 +480,13 @@ def step(
         else:
             # a snap to the phase boundary is not a stability constraint
             base = dt_base if dt < dt_base else dt
-        return dataclasses.replace(new_state, dt_next=cfg.dt_growth * base)
+        return SimState(
+            t=t + dt, grid=GridState(v=v, u=u, eta=eta_new),
+            piston=PistonState(b=b, b_dot=b_dot), regime=state.regime,
+            dt_next=cfg.dt_growth * base, eta_dot_hint=eta_dot if outflow else None,
+        )
     raise NumericalFailure(
-        f"step at t={state.t:.6g} rejected after {MAX_HALVINGS} halvings "
-        f"(dt={dt:.3e})"
+        f"step at t={t:.6g} rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})"
     )
 
 
@@ -613,8 +592,8 @@ def _solve_with_frozen_eta(
     Returns the boundary specific volume seen during each step (the value
     the operator S integrates against).
     """
-    grid = initial.grid
-    piston = initial.piston
+    v, u, eta = initial.grid.v, initial.grid.u, initial.grid.eta
+    b, b_dot = initial.piston.b, initial.piston.b_dot
     n_steps = times.size - 1
     dt = float(times[1] - times[0])
     v_boundary = np.empty(n_steps)
@@ -626,8 +605,10 @@ def _solve_with_frozen_eta(
                 time=float(times[i + 1]),
             )
         bc_velocity = float(schedule.u_out(float(times[i + 1])))
-        grid, piston = _split_step(
-            grid, piston, eta_new, float(slopes[i]), dt, params, cfg, bc_velocity
+        v, u, b, b_dot = _split_step(
+            v, u, eta, b, b_dot, eta_new, float(slopes[i]), dt, params, cfg,
+            bc_velocity,
         )
-        v_boundary[i] = grid.v[-1]
+        eta = eta_new
+        v_boundary[i] = v[-1]
     return v_boundary

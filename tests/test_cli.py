@@ -246,6 +246,25 @@ class TestRunCommand:
         assert code == 4
         assert f"[{section}] {key}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "estimate-contact"])
+    @pytest.mark.parametrize("extra", [
+        ["--cells", "2"],
+        ["--dt", "nan"],
+        ["--dt", "-1"],
+        ["--config", "/nonexistent/missing.ini"],
+    ], ids=["cells=2", "dt=nan", "dt=-1", "missing-config"])
+    def test_bad_override_or_missing_file_exits_four(
+        self, tmp_path, capsys, command, extra
+    ):
+        ini = tmp_path / "of.ini"
+        ini.write_text(OUTFLOW_INI)
+        code = main([command, "--config", str(ini), "--out", str(tmp_path / "out"),
+                     *extra])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+
     def test_cells_override(self, tmp_path):
         ini = tmp_path / "of.ini"
         ini.write_text(OUTFLOW_INI)
@@ -269,27 +288,30 @@ class TestDeterminismAndSnapshots:
         assert outs[0] == outs[1]
 
     def test_snapshot_resume_reproduces_trajectory(self, tmp_path):
-        ini = tmp_path / "of.ini"
-        ini.write_text(OUTFLOW_INI + "\n[outputs]\nsnapshot_every = 40\n")
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
-        snaps = sorted(out.glob("snapshot_*.json"))
-        assert len(snaps) >= 2
-        snap = Snapshot.from_dict(json.loads(snaps[1].read_text()))
-        state = snap.to_state()
-
         from pistonflow.config import parse_config
 
-        cfg = parse_config(OUTFLOW_INI)
-        resumed = run_simulation(cfg.params, cfg.numerics, cfg.schedule, state)
-        rows = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
-        t_col = rows[:, 0]
-        for col_name in ("b", "b_dot", "eta", "min_v", "max_v"):
-            col = CSV_COLUMNS.index(col_name)
-            resumed_vals = resumed.series.column(col_name)
-            resumed_t = resumed.series.column("t")
-            original = np.interp(resumed_t, t_col, rows[:, col])
-            assert np.max(np.abs(resumed_vals - original)) < 1e-12, col_name
+        for u_out in ("-0.2", "-0.8"):
+            ini_text = OUTFLOW_INI.replace("u_out = constant:-0.2",
+                                           f"u_out = constant:{u_out}")
+            ini = tmp_path / f"of{u_out}.ini"
+            ini.write_text(ini_text + "\n[outputs]\nsnapshot_every = 10\n")
+            out = tmp_path / f"out{u_out}"
+            assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+            snaps = sorted(out.glob("snapshot_*.json"))
+            assert len(snaps) >= 3
+            # snaps[0] is the initial state, snaps[1] the state after step 10
+            snap = Snapshot.from_dict(json.loads(snaps[1].read_text()))
+            cfg = parse_config(ini_text)
+            resumed = run_simulation(cfg.params, cfg.numerics, cfg.schedule,
+                                     snap.to_state())
+            rows = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[10:]
+            assert rows.shape[0] == len(resumed.series.records) > 20
+            for col_name in ("t", "b", "b_dot", "eta", "mass_eulerian", "energy",
+                             "min_v", "max_v"):
+                col = CSV_COLUMNS.index(col_name)
+                assert np.array_equal(
+                    resumed.series.column(col_name), rows[:, col]
+                ), (u_out, col_name)
 
 
 class TestEstimateContact:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from pistonflow import (
     BoundarySchedule,
     GridState,
+    NumericsConfig,
     Params,
     PistonState,
+    SimState,
     pressure_potential_Q,
     pressure_q,
 )
@@ -135,6 +137,49 @@ class TestPistonState:
             PistonState(b=0.0)
         with pytest.raises(ValueError):
             PistonState(b=-1.0)
+
+
+def _grid(v=1.0, u=0.0, eta=1.0):
+    vs = np.ones(8)
+    us = np.zeros(9)
+    vs[3] = v
+    us[4] = u
+    return GridState(v=vs, u=us, eta=eta)
+
+
+def _sim_state(dt_next):
+    return SimState(t=0.0, grid=_grid(), piston=PistonState(b=1.0),
+                    regime="inflow", dt_next=dt_next)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Params(b_rest=NAN),
+    lambda: Params(mu=INF),
+    lambda: Params(stiffness_K=INF),
+    lambda: Params(gamma=INF),
+    lambda: PistonState(b=INF),
+    lambda: PistonState(b=1.0, b_dot=NAN),
+    lambda: _grid(eta=INF),
+    lambda: _grid(u=NAN),
+    lambda: _grid(v=INF),
+    lambda: NumericsConfig(dt_initial=INF),
+    lambda: NumericsConfig(dt_growth=INF),
+    lambda: NumericsConfig(picard_tol=INF),
+    lambda: _sim_state(dt_next=INF),
+], ids=[
+    "Params.b_rest=nan", "Params.mu=inf", "Params.stiffness_K=inf",
+    "Params.gamma=inf", "PistonState.b=inf", "PistonState.b_dot=nan",
+    "GridState.eta=inf", "GridState.u=nan", "GridState.v=inf",
+    "NumericsConfig.dt_initial=inf", "NumericsConfig.dt_growth=inf",
+    "NumericsConfig.picard_tol=inf", "SimState.dt_next=inf",
+])
+def test_constructors_reject_non_finite_values(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestBoundarySchedule:

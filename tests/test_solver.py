@@ -92,8 +92,23 @@ class TestTransport:
         expected = 1.0 + 0.01 * (-beta_last) * (2.0 - 1.0) / (0.5 * g.dz)
         assert out.v[-1] == pytest.approx(expected, rel=1e-12)
 
+    def test_non_finite_result_raises_value_error(self):
+        g = uniform_grid(16)
+        c = coefficients_alpha_beta(1.0, 0.5, g.z_edges)
+        with pytest.raises(ValueError, match="positive"):
+            transport_update(g, c, dt=0.01, v_open_end=float("nan"))
+
 
 class TestMomentumPiston:
+    def test_non_finite_system_raises_value_error(self):
+        state, p = equilibrium_state()
+        c = coefficients_alpha_beta(state.grid.eta, 0.0, state.grid.z_edges)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            momentum_piston_solve(
+                state.grid, c, state.piston, p,
+                bc_open_end_velocity=float("nan"), dt=1e-2,
+            )
+
     def test_equilibrium_fixed_point(self):
         state, p = equilibrium_state()
         c = coefficients_alpha_beta(state.grid.eta, 0.0, state.grid.z_edges)
@@ -235,6 +250,20 @@ class TestEtaOutflowPicard:
         ratios = [residuals[i + 1] / residuals[i]
                   for i in range(len(residuals) - 1) if residuals[i] > 0]
         assert all(r < 1.0 for r in ratios)
+
+    def test_geometric_contraction_count_pinned(self):
+        # test_geometric_contraction's case, pinned bit for bit: a change to
+        # the Picard or transport arithmetic moves the count or the values
+        n = 32
+        z_c = (np.arange(n) + 0.5) / n
+        g = GridState(v=1.0 + 0.2 * np.sin(2 * np.pi * z_c),
+                      u=-0.4 * np.linspace(0.0, 1.0, n + 1) ** 2, eta=1.0)
+        s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -0.4)
+        eta_new, eta_dot, iters = eta_update_outflow_picard(
+            g, 0.0, 5e-3, s, NumericsConfig(n_cells=n, picard_tol=1e-14)
+        )
+        assert iters == 6
+        assert (eta_new, eta_dot) == (0.9979630668646462, -0.4073866270707662)
 
     def test_depletion_event(self):
         g = uniform_grid(8, v=1.0, u=-1.0, eta=0.005)
