@@ -24,7 +24,6 @@ from .coords import (
 )
 from .diagnostics import (
     CSV_COLUMNS,
-    DiagRecord,
     RunSeries,
     contact_time_lower_bound,
     energy,
@@ -63,7 +62,6 @@ __all__ = [
     "CSV_COLUMNS",
     "CoeffPair",
     "ContactEvent",
-    "DiagRecord",
     "EulerianField",
     "GridState",
     "MassDepletionEvent",

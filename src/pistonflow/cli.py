@@ -56,11 +56,9 @@ def simulate_scenario(config: ScenarioConfig) -> RunResult:
 
 def render_series_csv(result: RunResult) -> str:
     """Deterministic CSV text of the recorded series (fixed column order)."""
+    columns = [result.series.column(name).tolist() for name in CSV_COLUMNS]
     lines = [",".join(CSV_COLUMNS)]
-    for record in result.series.records:
-        lines.append(
-            ",".join(repr(float(getattr(record, col))) for col in CSV_COLUMNS)
-        )
+    lines.extend(",".join(map(repr, row)) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 

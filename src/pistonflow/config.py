@@ -47,8 +47,6 @@ class InitialConditions:
     u0: Callable[[float], float]
     b0: float = 2.0
     b1: float = 0.0
-    rho0_preset: str = "constant:1.0"
-    u0_preset: str = "constant:0.0"
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,6 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
         u0=u0,
         b0=b0,
         b1=float(init["b1"]),
-        rho0_preset=str(init["rho0"]),
-        u0_preset=str(init["u0"]),
     )
 
     sched = values["schedule"]

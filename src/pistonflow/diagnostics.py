@@ -1,15 +1,17 @@
 """Runtime monitors for every conserved or bounded quantity of the model.
 
 All quadratures follow one convention: midpoint in the mass coordinate,
-trapezoid in time.  The functions here are pure; the per-step accumulation
-lives in the run driver, which stores its results in ``DiagRecord`` rows.
+trapezoid in time.  The functions here are pure; the run driver evaluates
+them once per recorded state and appends the values to a columnar
+``RunSeries``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, MutableSequence, Optional
 
 import numpy as np
 
@@ -27,49 +29,50 @@ CSV_COLUMNS = (
     "dissipation_cum", "outflux_pressure_cum", "min_v", "max_v", "G_exponent",
 )
 
-
-@dataclass(frozen=True)
-class DiagRecord:
-    """Per-step diagnostics snapshot.
-
-    The first eleven fields are the emitted CSV columns; the remaining ones
-    are internal accumulators needed by the energy budget and the 1/v bound.
-    """
-
-    t: float
-    b: float
-    b_dot: float
-    eta: float
-    mass_eulerian: float
-    energy: float
-    dissipation_cum: float
-    outflux_pressure_cum: float
-    min_v: float
-    max_v: float
-    G_exponent: float
-    regime: str = "inflow"
-    u_l2: float = 0.0
-    damping_cum: float = 0.0
-    boundary_work_cum: float = 0.0
-    b_recon: float = 0.0
-    v_boundary: float = 0.0
+#: columns stored per recorded state.  Each ``<term>_cum`` column is derived:
+#: the trapezoid in time of the stored ``<term>_rate`` column.
+STORED_COLUMNS = (
+    "t", "b", "b_dot", "eta", "mass_eulerian", "energy", "min_v", "max_v",
+    "G_exponent", "regime", "u_l2", "b_recon", "v_boundary",
+    "dissipation_rate", "damping_rate", "outflux_pressure_rate",
+    "boundary_work_rate",
+)
 
 
 @dataclass
 class RunSeries:
-    """Recorded diagnostics of one run plus run-level monitor state."""
+    """Recorded diagnostics of one run, one column per quantity, plus
+    run-level monitor state."""
 
-    records: List[DiagRecord] = field(default_factory=list)
     v_star: Optional[np.ndarray] = None
     eta_star: Optional[float] = None
     t_star_actual: Optional[float] = None
     g_bound_max_ratio: float = 0.0
-    b_drift_max: float = 0.0
-    flux_accumulated: float = 0.0
     failure_message: Optional[str] = None
+    # float64 buffers: a row costs 8 bytes per number, not a float object
+    _columns: Dict[str, MutableSequence] = field(
+        default_factory=lambda: {name: array("d") for name in STORED_COLUMNS}
+        | {"regime": []},
+        init=False, repr=False,
+    )
+
+    def __len__(self) -> int:
+        return len(self._columns["t"])
+
+    def append(self, **row) -> None:
+        """Add one recorded state; ``row`` gives every stored column."""
+        for name, column in self._columns.items():
+            column.append(row[name])
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        """One column as an array, stored or derived (``*_cum``)."""
+        if not name.endswith("_cum"):
+            return np.array(self._columns[name])
+        t = np.array(self._columns["t"])
+        rate = np.array(self._columns[name[: -len("_cum")] + "_rate"])
+        # summed from 0.0 in row order: the same bits as a running total
+        steps = 0.5 * np.diff(t) * (rate[:-1] + rate[1:])
+        return np.cumsum(np.concatenate(([0.0], steps)))[: t.size]
 
 
 def total_mass_eulerian(state: SimState) -> float:
@@ -99,7 +102,7 @@ def energy(state: SimState, params: Params) -> float:
     return fluid + piston + spring
 
 
-def energy_budget_residual(series: Sequence[DiagRecord]) -> float:
+def energy_budget_residual(series: RunSeries) -> float:
     """Largest normalized defect of the discrete energy budget.
 
     The budget reads, for every recorded time,
@@ -113,12 +116,12 @@ def energy_budget_residual(series: Sequence[DiagRecord]) -> float:
     """
     if len(series) < 2:
         raise ValueError("energy budget needs at least 2 records")
-    e = np.array([r.energy for r in series])
-    diss = np.array([r.dissipation_cum for r in series])
-    damp = np.array([r.damping_cum for r in series])
-    pout = np.array([r.outflux_pressure_cum for r in series])
-    work = np.array([r.boundary_work_cum for r in series])
-    residual = e + diss + damp + pout - e[0] - work
+    e = series.column("energy")
+    residual = (
+        e + series.column("dissipation_cum") + series.column("damping_cum")
+        + series.column("outflux_pressure_cum") - e[0]
+        - series.column("boundary_work_cum")
+    )
     scale = max(abs(e[0]), 1e-300)
     return float(np.max(np.abs(residual)) / scale)
 

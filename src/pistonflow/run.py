@@ -1,7 +1,8 @@
 """Run orchestration: phase sequencing, diagnostics recording, event handling.
 
-The driver advances the solver step by step, appends one ``DiagRecord`` per
-accepted step (trapezoid-in-time accumulation of the energy-budget terms),
+The driver advances the solver step by step, appends one row of monitored
+values per accepted step to the columnar ``RunSeries`` (the energy-budget
+rates are stored; their time integrals are derived from the columns),
 switches regime exactly at t_star, and converts terminal solver events into
 a ``RunResult`` with the documented exit codes.
 """
@@ -18,7 +19,6 @@ from .coords import EulerianField, lagrangian_init_from_eulerian
 from .core import BoundarySchedule, GridState, Params, PistonState, pressure_q
 from .diagnostics import (
     TOL_BOUND,
-    DiagRecord,
     RunSeries,
     energy,
     energy_budget_residual,
@@ -52,7 +52,11 @@ _STATUS_BY_CODE = {
 
 @dataclass
 class Snapshot:
-    """Full restartable solver state at one instant."""
+    """Full restartable solver state at one instant.
+
+    ``eta_dot_hint`` is the outflow flux of the last accepted step, which
+    warm-starts the next Picard iteration (None before the first one).
+    """
 
     t: float
     z: np.ndarray
@@ -63,6 +67,7 @@ class Snapshot:
     b_dot: float
     dt: float
     regime: str
+    eta_dot_hint: Optional[float] = None
 
     def as_dict(self) -> dict:
         return {
@@ -75,10 +80,17 @@ class Snapshot:
             "b_dot": self.b_dot,
             "dt": self.dt,
             "regime": self.regime,
+            "eta_dot_hint": self.eta_dot_hint,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Snapshot":
+        """Load a snapshot; files without ``eta_dot_hint`` load it as None."""
+        hint = data.get("eta_dot_hint")
+        if hint is not None:
+            hint = float(hint)
+            if not math.isfinite(hint):
+                raise ValueError(f"eta_dot_hint must be finite, got {hint}")
         return cls(
             t=float(data["t"]),
             z=np.asarray(data["z"], dtype=float),
@@ -89,6 +101,7 @@ class Snapshot:
             b_dot=float(data["b_dot"]),
             dt=float(data["dt"]),
             regime=str(data["regime"]),
+            eta_dot_hint=hint,
         )
 
     def to_state(self) -> SimState:
@@ -97,6 +110,7 @@ class Snapshot:
         return SimState(
             t=self.t, grid=grid, piston=piston,
             regime=self.regime, dt_next=self.dt,  # type: ignore[arg-type]
+            eta_dot_hint=self.eta_dot_hint,
         )
 
 
@@ -111,6 +125,7 @@ def snapshot_of(state: SimState) -> Snapshot:
         b_dot=state.piston.b_dot,
         dt=state.dt_next,
         regime=state.regime,
+        eta_dot_hint=state.eta_dot_hint,
     )
 
 
@@ -148,28 +163,6 @@ def build_initial_state(
         t=0.0, grid=grid, piston=piston, regime=regime, dt_next=cfg.dt_initial
     )
     return state, correction
-
-
-def _boundary_values(state: SimState, schedule: BoundarySchedule):
-    """Open-end velocity, specific volume and instantaneous mass flux."""
-    grid = state.grid
-    u_b = float(grid.u[-1])
-    if state.regime == "inflow":
-        rho_b = float(schedule.rho_in(min(state.t, schedule.t_star)))
-        v_b = 1.0 / rho_b
-        flux = float(schedule.u_in(min(state.t, schedule.t_star))) * rho_b
-    else:
-        v_b = float(grid.v[-1])
-        flux = float(schedule.u_out(state.t)) / v_b
-    return u_b, v_b, flux
-
-
-@dataclass
-class _Rates:
-    dissipation: float
-    damping: float
-    outflux_pressure: float
-    boundary_work: float
 
 
 @dataclass
@@ -219,82 +212,58 @@ class _GTracker:
         ) / params.mu
 
 
-def _rates(state: SimState, schedule: BoundarySchedule, params: Params) -> _Rates:
-    grid = state.grid
-    dz = grid.dz
-    alpha = -1.0 / grid.eta
-    u_z = np.diff(grid.u) / dz
-    u_y = alpha * u_z  # velocity gradient in the mass coordinate, per cell
-    dissipation = float(np.sum(params.mu / grid.v * u_y * u_y) * grid.dy)
-    damping = params.damping_l * state.piston.b_dot ** 2
-
-    u_b, v_b, flux = _boundary_values(state, schedule)
-    outflux_pressure = -u_b / (params.gamma - 1.0) * v_b ** (-params.gamma)
-    # sigma = mu u_y / v - q with the boundary cell's mass-coordinate gradient
-    sigma_b = params.mu * float(u_y[-1]) / v_b - float(
-        pressure_q(v_b, params.gamma)
-    )
-    boundary_work = flux * 0.5 * u_b * u_b - u_b * sigma_b
-    return _Rates(dissipation, damping, outflux_pressure, boundary_work)
-
-
 def _record(
     state: SimState,
     schedule: BoundarySchedule,
     params: Params,
     series: RunSeries,
-    prev_rates: Optional[_Rates],
     g_tracker: Optional[_GTracker],
-) -> _Rates:
-    """Append the diagnostics row of ``state``; returns its boundary rates."""
+) -> None:
+    """Append the diagnostics row of ``state``."""
     grid = state.grid
-    rates = _rates(state, schedule, params)
-    prev = series.records[-1] if series.records else None
-    if prev is None:
-        diss_cum = damp_cum = pout_cum = work_cum = 0.0
+    alpha = -1.0 / grid.eta
+    u_z = np.diff(grid.u) / grid.dz
+    u_y = alpha * u_z  # velocity gradient in the mass coordinate, per cell
+    # open-end velocity, specific volume and instantaneous mass flux
+    u_b = float(grid.u[-1])
+    if state.regime == "inflow":
+        rho_b = float(schedule.rho_in(min(state.t, schedule.t_star)))
+        v_b = 1.0 / rho_b
+        flux = float(schedule.u_in(min(state.t, schedule.t_star))) * rho_b
     else:
-        h = state.t - prev.t
-        diss_cum = prev.dissipation_cum + 0.5 * h * (prev_rates.dissipation + rates.dissipation)
-        damp_cum = prev.damping_cum + 0.5 * h * (prev_rates.damping + rates.damping)
-        pout_cum = prev.outflux_pressure_cum + 0.5 * h * (
-            prev_rates.outflux_pressure + rates.outflux_pressure
-        )
-        work_cum = prev.boundary_work_cum + 0.5 * h * (
-            prev_rates.boundary_work + rates.boundary_work
-        )
+        v_b = float(grid.v[-1])
+        flux = float(schedule.u_out(state.t)) / v_b
+    # sigma = mu u_y / v - q with the boundary cell's mass-coordinate gradient
+    sigma_b = params.mu * float(u_y[-1]) / v_b - float(
+        pressure_q(v_b, params.gamma)
+    )
 
     g_value = math.nan
-    u_l2_value = velocity_l2(state)
-    if state.regime == "outflow" and g_tracker is not None:
-        g_value = g_tracker.advance(state, u_l2_value, params)
-        if series.v_star is not None:
-            ratio = volume_bound_ratio(state, series.v_star, series.eta_star, g_value)
-            series.g_bound_max_ratio = max(series.g_bound_max_ratio, ratio)
+    u_l2 = velocity_l2(state)
+    if state.regime == "outflow":  # _GTracker.start has anchored g_tracker and v_star
+        g_value = g_tracker.advance(state, u_l2, params)
+        ratio = volume_bound_ratio(state, series.v_star, series.eta_star, g_value)
+        series.g_bound_max_ratio = max(series.g_bound_max_ratio, ratio)
 
-    b_recon = float(np.sum(grid.v) * grid.dy)
-    series.b_drift_max = max(series.b_drift_max, abs(b_recon - state.piston.b))
-    _, v_b, _ = _boundary_values(state, schedule)
-
-    series.records.append(DiagRecord(
+    series.append(
         t=state.t,
         b=state.piston.b,
         b_dot=state.piston.b_dot,
         eta=float(grid.eta),
         mass_eulerian=total_mass_eulerian(state),
         energy=energy(state, params),
-        dissipation_cum=diss_cum,
-        outflux_pressure_cum=pout_cum,
         min_v=float(np.min(grid.v)),
         max_v=float(np.max(grid.v)),
         G_exponent=g_value,
         regime=state.regime,
-        u_l2=u_l2_value,
-        damping_cum=damp_cum,
-        boundary_work_cum=work_cum,
-        b_recon=b_recon,
+        u_l2=u_l2,
+        b_recon=float(np.sum(grid.v) * grid.dy),
         v_boundary=v_b,
-    ))
-    return rates
+        dissipation_rate=float(np.sum(params.mu / grid.v * u_y * u_y) * grid.dy),
+        damping_rate=params.damping_l * state.piston.b_dot ** 2,
+        outflux_pressure_rate=-u_b / (params.gamma - 1.0) * v_b ** (-params.gamma),
+        boundary_work_rate=flux * 0.5 * u_b * u_b - u_b * sigma_b,
+    )
 
 
 def run_simulation(
@@ -311,9 +280,6 @@ def run_simulation(
     state = initial
     series = RunSeries()
     g_tracker: Optional[_GTracker] = None
-    if state.regime == "outflow":
-        g_tracker = _GTracker.start(series, state, params)
-    rates = _record(state, schedule, params, series, None, g_tracker)
     snapshots = [snapshot_of(state)] if snapshot_every > 0 else []
 
     exit_code = EXIT_COMPLETED
@@ -322,19 +288,20 @@ def run_simulation(
     stats: dict = {}
     eps = 1e-12 * max(1.0, schedule.t_end)
     try:
+        if state.regime == "outflow":
+            g_tracker = _GTracker.start(series, state, params)
+        _record(state, schedule, params, series, g_tracker)
         while state.t < schedule.t_end - eps:
             if state.regime == "inflow" and state.t >= schedule.t_star - eps:
                 state = switch_regime(state, schedule)
                 g_tracker = _GTracker.start(series, state, params)
                 # zero-duration anchor record: outflow reference for the
                 # exponential bound and the regime flip of the boundary rates
-                rates = _record(state, schedule, params, series, rates, g_tracker)
+                _record(state, schedule, params, series, g_tracker)
                 continue
-            prev_eta = state.grid.eta
             state = step(state, schedule, params, cfg, stats)
             step_index += 1
-            series.flux_accumulated += state.grid.eta - prev_eta
-            rates = _record(state, schedule, params, series, rates, g_tracker)
+            _record(state, schedule, params, series, g_tracker)
             if progress is not None:
                 progress(state)
             if snapshot_every > 0 and step_index % snapshot_every == 0:
@@ -346,6 +313,10 @@ def run_simulation(
     except (NumericalFailure, StepRejected) as event:
         exit_code = EXIT_FAILURE
         series.failure_message = str(event)
+    except OverflowError as event:
+        # a finite state whose monitored values exceed the float range
+        exit_code = EXIT_FAILURE
+        series.failure_message = f"floating-point overflow at t={state.t:.6g}: {event}"
 
     summary = _summarize(
         series, schedule, exit_code, event_time, initial_bdot_correction
@@ -374,14 +345,10 @@ def contact_bound_of(
     # imported at call time, so a wrapper set on the diagnostics module applies
     from .diagnostics import contact_time_lower_bound
 
-    if series.eta_star is None or schedule.u_out is None:
+    outflow = series.column("regime") == "outflow"
+    if schedule.u_out is None or not outflow.any():
         return None
-    v_min = min(
-        (r.v_boundary for r in series.records if r.regime == "outflow"),
-        default=None,
-    )
-    if v_min is None:
-        return None
+    v_min = float(series.column("v_boundary")[outflow].min())
     bound = contact_time_lower_bound(
         series.eta_star,
         schedule.u_out,
@@ -399,19 +366,23 @@ def _summarize(
     event_time: Optional[float],
     initial_bdot_correction: float,
 ) -> dict:
-    records = series.records
+    rows = len(series)
+    eta = series.column("eta")
+    # the mass change summed step by step from 0.0, in row order
+    eta_change = np.cumsum(np.concatenate(([0.0], np.diff(eta))))[-1]
+    b_drift = np.abs(series.column("b_recon") - series.column("b"))
     summary = {
         "status": _STATUS_BY_CODE[exit_code],
         "exit_code": exit_code,
         "event_time": None if event_time is None else float(event_time),
-        "steps": len(records) - 1,
-        "t_final": float(records[-1].t) if records else None,
+        "steps": max(rows - 1, 0),
+        "t_final": float(series.column("t")[-1]) if rows else None,
         "initial_b_dot_correction": float(initial_bdot_correction),
-        "b_consistency_max_drift": float(series.b_drift_max),
-        "eta_final": float(records[-1].eta) if records else None,
+        "b_consistency_max_drift": float(np.max(b_drift, initial=0.0)),
+        "eta_final": float(eta[-1]) if rows else None,
         "mass_flux_identity_error": float(abs(
-            (records[-1].eta - records[0].eta) - series.flux_accumulated
-        )) if records else None,
+            (eta[-1] - eta[0]) - eta_change
+        )) if rows else None,
         "g_bound_max_ratio": float(series.g_bound_max_ratio) or None,
     }
     if series.g_bound_max_ratio:
@@ -420,8 +391,8 @@ def _summarize(
         )
     if series.failure_message is not None:
         summary["failure_message"] = series.failure_message
-    if len(records) >= 2:
-        summary["energy_budget_residual"] = energy_budget_residual(records)
+    if rows >= 2:
+        summary["energy_budget_residual"] = energy_budget_residual(series)
     contact = contact_bound_of(series, schedule, event_time)
     if contact is not None:
         bound = contact[1]

@@ -436,16 +436,25 @@ def step(
     bound, halves on rejection (CFL violation, vacuum, Picard failure), and
     the accepted value grows by ``cfg.dt_growth`` for the next step.  Contact
     and mass-depletion events propagate with interpolated absolute times.
-    ``stats``, when given, counts rejections and Picard iterations.
+    A stability bound below the time resolution 1e-14 * max(1, |horizon|)
+    raises ``NumericalFailure``.  ``stats``, when given, counts rejections
+    and Picard iterations.
     """
     grid, t, outflow = state.grid, state.t, state.regime == "outflow"
     horizon = schedule.t_star if not outflow and t < schedule.t_star else schedule.t_end
     remaining = horizon - t
-    if remaining <= 1e-14 * max(1.0, abs(horizon)):
+    resolution = 1e-14 * max(1.0, abs(horizon))
+    if remaining <= resolution:
         raise StateError(f"no time left before t={horizon} (state.t={t})")
 
     flux_est = _boundary_flux_estimate(state, schedule)
-    dt_base = min(state.dt_next, dt_stability_bound(grid, flux_est, params, cfg))
+    dt_bound = dt_stability_bound(grid, flux_est, params, cfg)
+    if dt_bound < resolution:
+        raise NumericalFailure(
+            f"stability bound dt={dt_bound:.3e} at t={t:.6g} is below the time "
+            f"resolution {resolution:.3e}"
+        )
+    dt_base = min(state.dt_next, dt_bound)
     dt = min(dt_base, remaining)
     rejected = False
     for _ in range(MAX_HALVINGS + 1):

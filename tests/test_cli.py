@@ -1,15 +1,20 @@
 """Configuration parsing and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pistonflow import NumericsConfig, Params
+import pistonflow
+from pistonflow import GridState, NumericsConfig, Params, PistonState, SimState
 from pistonflow.cli import main, render_series_csv, simulate_scenario
 from pistonflow.config import ConfigError, OutputConfig, parse_config
 from pistonflow.diagnostics import CSV_COLUMNS
-from pistonflow.run import Snapshot, run_simulation
+from pistonflow.run import Snapshot, run_simulation, snapshot_of
 
 EQUILIBRIUM_INI = """
 [params]
@@ -246,6 +251,38 @@ class TestRunCommand:
         assert code == 4
         assert f"[{section}] {key}:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("section,key,value", [
+        ("initial", "b1", "1e300"),  # b_dot ** 2 of the initial record
+        ("params", "mu", "1e-300"),  # exp(G) at the outflow anchor
+    ])
+    def test_overflowing_monitors_fail_with_summary(
+        self, tmp_path, section, key, value
+    ):
+        ini = tmp_path / "huge.ini"
+        ini.write_text(f"[numerics]\nn_cells = 8\n[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(ini), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert code == summary["exit_code"] == 4
+        assert summary["status"] == "failed"
+        assert "overflow" in summary["failure_message"]
+
+    def test_vanishing_stability_bound_fails_within_seconds(self, tmp_path):
+        # gamma = 1e300 makes the acoustic dt bound about 1e-151
+        ini = tmp_path / "stiff.ini"
+        ini.write_text("[numerics]\nn_cells = 8\n[params]\ngamma = 1e300\n")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pistonflow.cli", "run", "--config", str(ini),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(pistonflow.__file__).parents[1])},
+        )
+        assert proc.returncode == 4, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert "stability bound" in summary["failure_message"]
+
     @pytest.mark.parametrize("command", ["run", "estimate-contact"])
     @pytest.mark.parametrize("extra", [
         ["--cells", "2"],
@@ -305,13 +342,25 @@ class TestDeterminismAndSnapshots:
             resumed = run_simulation(cfg.params, cfg.numerics, cfg.schedule,
                                      snap.to_state())
             rows = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[10:]
-            assert rows.shape[0] == len(resumed.series.records) > 20
+            assert rows.shape[0] == len(resumed.series) > 20
             for col_name in ("t", "b", "b_dot", "eta", "mass_eulerian", "energy",
                              "min_v", "max_v"):
                 col = CSV_COLUMNS.index(col_name)
                 assert np.array_equal(
                     resumed.series.column(col_name), rows[:, col]
                 ), (u_out, col_name)
+
+    def test_snapshot_round_trip_keeps_eta_dot_hint(self):
+        grid = GridState(v=np.ones(8), u=np.zeros(9), eta=1.0)
+        state = SimState(t=0.25, grid=grid, piston=PistonState(b=1.0, b_dot=0.0),
+                         regime="outflow", dt_next=1e-3, eta_dot_hint=-0.1234567891)
+        data = json.loads(json.dumps(snapshot_of(state).as_dict()))
+        assert Snapshot.from_dict(data).to_state().eta_dot_hint == -0.1234567891
+        # files written without the hint load it as None
+        del data["eta_dot_hint"]
+        assert Snapshot.from_dict(data).to_state().eta_dot_hint is None
+        with pytest.raises(ValueError, match="eta_dot_hint"):
+            Snapshot.from_dict({**data, "eta_dot_hint": "nan"})
 
 
 class TestEstimateContact:
@@ -356,4 +405,4 @@ class TestSeriesRendering:
         rows = text.splitlines()
         assert rows[0] == ",".join(CSV_COLUMNS)
         parsed = [float(x) for x in rows[1].split(",")]
-        assert parsed[CSV_COLUMNS.index("eta")] == result.series.records[0].eta
+        assert parsed[CSV_COLUMNS.index("eta")] == result.series.column("eta")[0]

@@ -19,8 +19,8 @@ from pistonflow import (
     energy_budget_residual,
     total_mass_eulerian,
 )
-from pistonflow.diagnostics import velocity_l2
-from pistonflow.run import run_simulation
+from pistonflow.diagnostics import STORED_COLUMNS, RunSeries, velocity_l2
+from pistonflow.run import _summarize, run_simulation
 
 
 def make_state(v, u, eta, b, b_dot=0.0, regime="inflow", dt_next=1e-3):
@@ -31,11 +31,20 @@ def make_state(v, u, eta, b, b_dot=0.0, regime="inflow", dt_next=1e-3):
                     regime=regime, dt_next=dt_next)
 
 
-def exponent_G(series, state, params):
+def series_of(rows):
+    """A RunSeries of hand-written rows; columns a row omits are 0.0."""
+    series = RunSeries()
+    for row in rows:
+        series.append(**{**dict.fromkeys(STORED_COLUMNS, 0.0), **row})
+    return series
+
+
+def exponent_G(series, state, params, rows=None):
     """Exponent of the pointwise lower bound on the specific volume.
 
     The from-series oracle for the runner's incremental G column, evaluated
-    from the recorded outflow history and the current state:
+    from the outflow history in the first ``rows`` recorded rows (all by
+    default) and the current state:
 
         G(t) = (b_dot(t) - b_dot(T*) + l (b(t) - b(T*))
                + int_{T*}^t K (b - b_rest) ds
@@ -43,23 +52,24 @@ def exponent_G(series, state, params):
     """
     if state.regime != "outflow":
         raise StateError("exponent_G is defined in the outflow regime only")
-    out = [r for r in series if r.regime == "outflow"]
+    outflow = series.column("regime")[:rows] == "outflow"
     u_now = velocity_l2(state)
-    if not out:
+    if not outflow.any():
         # the state itself is the outflow anchor (t = T*)
         return 2.0 * math.sqrt(state.grid.eta) * u_now / params.mu
-    ref = out[0]
-    times = np.array([r.t for r in out] + [state.t])
+    t, b, b_dot, eta, u_l2 = (series.column(name)[:rows][outflow]
+                              for name in ("t", "b", "b_dot", "eta", "u_l2"))
+    times = np.array(list(t) + [state.t])
     spring = np.array(
-        [params.stiffness_K * (r.b - params.b_rest) for r in out]
+        [params.stiffness_K * (b_r - params.b_rest) for b_r in b]
         + [params.stiffness_K * (state.piston.b - params.b_rest)]
     )
     spring_integral = float(np.trapezoid(spring, times))
     return (
-        state.piston.b_dot - ref.b_dot
-        + params.damping_l * (state.piston.b - ref.b)
+        state.piston.b_dot - b_dot[0]
+        + params.damping_l * (state.piston.b - b[0])
         + spring_integral
-        + math.sqrt(ref.eta) * (u_now + ref.u_l2)
+        + math.sqrt(eta[0]) * (u_now + u_l2[0])
     ) / params.mu
 
 
@@ -200,7 +210,7 @@ class TestEnergyBudget:
             st = SimState(t=0.0, grid=grid, piston=PistonState(b=1.0, b_dot=0.0),
                           regime="inflow", dt_next=dt)
             r = run_simulation(p, cfg, sched, st)
-            assert r.series.records[-1].eta == pytest.approx(1.15, abs=1e-12)
+            assert r.series.column("eta")[-1] == pytest.approx(1.15, abs=1e-12)
             residuals.append(r.summary["energy_budget_residual"])
         orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
         assert np.all(orders > 0.9)
@@ -219,7 +229,38 @@ class TestEnergyBudget:
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
-            energy_budget_residual([])
+            energy_budget_residual(RunSeries())
+
+    def test_hand_built_series_with_anchor_row(self):
+        # a resumed run at t* = 0.5: its last inflow row, the zero-duration
+        # outflow anchor, and one outflow step of length 0.5
+        series = series_of([
+            dict(t=0.5, regime="inflow", energy=10.0, b=1.0, b_recon=1.0,
+                 eta=1.0, v_boundary=1.0, dissipation_rate=4.0, damping_rate=2.0,
+                 outflux_pressure_rate=8.0, boundary_work_rate=1.0),
+            dict(t=0.5, regime="outflow", energy=10.0, b=1.0, b_recon=1.0,
+                 eta=1.0, v_boundary=1.0, dissipation_rate=1.0, damping_rate=0.5,
+                 outflux_pressure_rate=-1.0, boundary_work_rate=3.0),
+            dict(t=1.0, regime="outflow", energy=9.0, b=0.75, b_recon=1.0,
+                 eta=0.7, v_boundary=1.0, dissipation_rate=3.0, damping_rate=1.5,
+                 outflux_pressure_rate=1.0, boundary_work_rate=5.0),
+        ])
+        # trapezoids: the anchor interval adds nothing, the step 0.25 * (a + b)
+        assert series.column("dissipation_cum").tolist() == [0.0, 0.0, 1.0]
+        assert series.column("damping_cum").tolist() == [0.0, 0.0, 0.5]
+        assert series.column("outflux_pressure_cum").tolist() == [0.0, 0.0, 0.0]
+        assert series.column("boundary_work_cum").tolist() == [0.0, 0.0, 2.0]
+        # |9 + 1 + 0.5 + 0 - 10 - 2| / 10
+        assert energy_budget_residual(series) == 0.15
+        series.eta_star, series.t_star_actual = 1.0, 0.5  # set at the anchor
+        summary = _summarize(series, BoundarySchedule(t_star=0.0, t_end=1.0,
+                                                      u_out=lambda t: 0.0),
+                             0, None, 0.0)
+        assert summary["b_consistency_max_drift"] == 0.25
+        # eta moves only in the last step, so the step sum is exact
+        assert summary["mass_flux_identity_error"] == 0.0
+        assert summary["energy_budget_residual"] == 0.15
+        assert summary["steps"] == 2
 
     def test_accumulators_monotone(self):
         result, _, _ = closed_run(n=32, t_end=1.0)
@@ -231,7 +272,7 @@ class TestExponentG:
     def test_inflow_regime_rejected(self):
         st = make_state(np.ones(8), np.zeros(9), 1.0, 1.0, regime="inflow")
         with pytest.raises(StateError):
-            exponent_G([], st, Params())
+            exponent_G(RunSeries(), st, Params())
 
     def test_anchor_value(self):
         # at the outflow start: G = 2 sqrt(eta) ||u||_2 / mu
@@ -240,29 +281,21 @@ class TestExponentG:
                         regime="outflow")
         p = Params(mu=2.0)
         u_l2 = math.sqrt(1.0 * 4.0)  # |u| = 1, mass eta = 4
-        assert exponent_G([], st, p) == pytest.approx(2.0 * 2.0 * u_l2 / 2.0,
+        assert exponent_G(RunSeries(), st, p) == pytest.approx(2.0 * 2.0 * u_l2 / 2.0,
                                                       abs=1e-12)
 
     def test_stationary_spring_term_grows_linearly(self):
         # piston held at b with K(b - b_rest) = q(v): G(t) = q * t / mu
-        from pistonflow.diagnostics import DiagRecord
-
         p = Params(mu=2.0, gamma=1.4, stiffness_K=1.0, damping_l=0.5, b_rest=1.0)
         n = 8
-        ref = DiagRecord(
-            t=0.0, b=2.0, b_dot=0.0, eta=1.0, mass_eulerian=1.0, energy=1.0,
-            dissipation_cum=0.0, outflux_pressure_cum=0.0, min_v=1.0, max_v=1.0,
-            G_exponent=0.0, regime="outflow", u_l2=0.0,
-        )
-        later = DiagRecord(
-            t=1.0, b=2.0, b_dot=0.0, eta=1.0, mass_eulerian=1.0, energy=1.0,
-            dissipation_cum=0.0, outflux_pressure_cum=0.0, min_v=1.0, max_v=1.0,
-            G_exponent=0.0, regime="outflow", u_l2=0.0,
-        )
+        rows = series_of([
+            dict(t=0.0, b=2.0, b_dot=0.0, eta=1.0, regime="outflow", u_l2=0.0),
+            dict(t=1.0, b=2.0, b_dot=0.0, eta=1.0, regime="outflow", u_l2=0.0),
+        ])
         st = make_state(np.ones(n), np.zeros(n + 1), 1.0, 2.0, regime="outflow")
         st = SimState(t=2.0, grid=st.grid, piston=st.piston, regime="outflow",
                       dt_next=1e-3)
-        g = exponent_G([ref, later], st, p)
+        g = exponent_G(rows, st, p)
         assert g == pytest.approx(1.0 * 2.0 / p.mu, abs=1e-12)
 
 
@@ -278,19 +311,17 @@ class TestRunnerGColumn:
         st = SimState(t=0.0, grid=grid, piston=PistonState(b=1.0, b_dot=0.0),
                       regime="outflow", dt_next=2e-3)
         result = run_simulation(p, cfg, sched, st)
-        records = result.series.records
+        g_column = result.series.column("G_exponent")
         # replay the deterministic trajectory and compare exponent_G against
         # the recorded column after each step
         from pistonflow.solver import step as solver_step
 
         state = st
-        series_prefix = [records[0]]
-        for idx in range(1, min(20, len(records))):
+        for idx in range(1, min(20, len(result.series))):
             state = solver_step(state, sched, p, cfg)
-            g_public = exponent_G(series_prefix, state, p)
-            assert g_public == pytest.approx(records[idx].G_exponent,
+            g_public = exponent_G(result.series, state, p, rows=idx)
+            assert g_public == pytest.approx(g_column[idx],
                                              rel=1e-10, abs=1e-12)
-            series_prefix.append(records[idx])
 
 
 class TestContactTimeLowerBound:

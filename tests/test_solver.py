@@ -392,19 +392,16 @@ class TestSwitchRegime:
                          regime="inflow", dt_next=2e-3)
         result = run_simulation(p, cfg, s, state)
         assert result.status == "completed"
-        records = result.series.records
-        pairs = [
-            (records[i], records[i + 1])
-            for i in range(len(records) - 1)
-            if records[i].regime == "inflow"
-            and records[i + 1].regime == "outflow"
-        ]
+        series = result.series
+        regime = series.column("regime")
+        pairs = np.flatnonzero((regime[:-1] == "inflow") & (regime[1:] == "outflow"))
         assert len(pairs) == 1
-        before, after = pairs[0]
-        assert after.t == before.t
+        before, after = pairs[0], pairs[0] + 1
+        assert series.column("t")[after] == series.column("t")[before]
         for col in ("b", "b_dot", "eta", "energy", "min_v", "max_v",
                     "dissipation_cum", "boundary_work_cum"):
-            assert getattr(after, col) == getattr(before, col), col
+            values = series.column(col)
+            assert values[after] == values[before], col
 
 
 class TestWholeHorizonFixedPoint:
