@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -96,6 +97,23 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     return dataclasses.replace(config, numerics=numerics, outputs=outputs)
 
 
+def _internal_error_exits_four(command):
+    """Turn an exception the command does not handle into one line and exit 4."""
+
+    @functools.wraps(command)
+    def guarded(args) -> int:
+        try:
+            return command(args)
+        except Exception as exc:
+            message = " ".join(str(exc).split())
+            print(f"internal error: {type(exc).__name__}: {message}",
+                  file=sys.stderr)
+            return EXIT_FAILURE
+
+    return guarded
+
+
+@_internal_error_exits_four
 def cmd_run(args) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
@@ -126,6 +144,7 @@ def cmd_run(args) -> int:
     return result.exit_code
 
 
+@_internal_error_exits_four
 def cmd_estimate_contact(args) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)

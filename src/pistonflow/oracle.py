@@ -34,8 +34,12 @@ _FD_STEP = 1e-3  # outer step of the second-derivative stencil
 class ManufacturedCase:
     """Closed-form exact solution plus the forcings that make it exact.
 
-    All field callables must be vectorized over z and accept complex
-    arguments (the residual evaluator differentiates them by complex step).
+    All field callables must accept complex arguments (the residual
+    evaluator differentiates them by complex step).  The z-fields ``v``,
+    ``u``, ``f_v`` and ``f_u`` must also be vectorized over z: ``run_forced``
+    samples each of them once per step on the whole grid, and construction
+    rejects a field whose value on a z array does not broadcast to that
+    array's shape.  A field that ignores z may return a scalar.
     ``pin_piston`` runs the verification with the piston edge Dirichlet-pinned
     to the exact velocity, isolating the interior operators.
     """
@@ -55,6 +59,14 @@ class ManufacturedCase:
     freeze_v: bool = False
 
     def __post_init__(self) -> None:
+        zs = np.linspace(0.0, 1.0, 5)
+        for name in ("v", "u", "f_v", "f_u"):
+            try:
+                _on_grid(getattr(self, name), 0.0, zs)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"field {name!r} is not vectorized over z: {exc}"
+                ) from exc
         ts = np.linspace(0.0, 1.0, 17)
         mismatch = max(
             abs(complex(self.u(t, 0.0)).real - float(self.b_dot(t))) for t in ts
@@ -64,6 +76,14 @@ class ManufacturedCase:
                 f"piston compatibility violated: max |u(t,0) - db/dt| = "
                 f"{mismatch:.3e}"
             )
+
+
+def _on_grid(f: Callable, t: float, z: np.ndarray) -> np.ndarray:
+    """Real part of the z-field ``f(t, z)`` on the points ``z``, as a new array.
+
+    A field that ignores z returns a scalar; it is broadcast to ``z``.
+    """
+    return np.broadcast_to(np.real(f(t, z)), z.shape).astype(float)
 
 
 def _d_complex(f: Callable[[float], complex], x: float, h: float = 1e-30) -> float:
@@ -278,8 +298,8 @@ def run_forced(
     z_centers = 0.5 * (z_edges[:-1] + z_edges[1:])
     dz = 1.0 / n_cells
 
-    v = np.array([complex(case.v(0.0, z)).real for z in z_centers])
-    u = np.array([complex(case.u(0.0, z)).real for z in z_edges])
+    v = _on_grid(case.v, 0.0, z_centers)
+    u = _on_grid(case.u, 0.0, z_edges)
     u[0] = float(case.b_dot(0.0))
     piston = PistonState(b=float(case.b(0.0)), b_dot=u[0])
     grid = GridState(v=v, u=u, eta=float(case.eta(0.0)))
@@ -296,10 +316,8 @@ def run_forced(
         eta_new = float(case.eta(t_new))
         coeffs = coefficients_alpha_beta(eta_mid, eta_dot, z_edges)
         if case.freeze_v:
-            advected = GridState(
-                v=[complex(case.v(t_new, z)).real for z in z_centers],
-                u=grid.u, eta=eta_new,
-            )
+            advected = GridState(v=_on_grid(case.v, t_new, z_centers),
+                                 u=grid.u, eta=eta_new)
         else:
             v_open = None
             if eta_dot > 0.0:
@@ -307,7 +325,7 @@ def run_forced(
             advected = transport_update(
                 grid, coeffs, dt_step,
                 v_open_end=v_open,
-                source=np.array([complex(case.f_v(tm, z)).real for z in z_centers]),
+                source=_on_grid(case.f_v, tm, z_centers),
             )
         pin = float(case.b_dot(t_new)) if case.pin_piston else None
         u_new, piston = momentum_piston_solve(
@@ -315,7 +333,7 @@ def run_forced(
             bc_open_end_velocity=complex(case.u(t_new, 1.0)).real,
             dt=dt_step,
             theta=theta,
-            source_u=np.array([complex(case.f_u(tm, z)).real for z in z_edges]),
+            source_u=_on_grid(case.f_u, tm, z_edges),
             source_piston=float(case.f_b(tm)),
             pin_piston_to=pin,
         )
@@ -323,8 +341,8 @@ def run_forced(
             piston = PistonState(b=float(case.b(t_new)), b_dot=float(pin))
         grid = GridState(v=advected.v, u=u_new, eta=eta_new)
         t = t_new
-        v_exact = np.array([complex(case.v(t, z)).real for z in z_centers])
-        u_exact = np.array([complex(case.u(t, z)).real for z in z_edges])
+        v_exact = _on_grid(case.v, t, z_centers)
+        u_exact = _on_grid(case.u, t, z_edges)
         err_v = max(err_v, float(np.sqrt(np.sum((grid.v - v_exact) ** 2) * dz)))
         err_u = max(err_u, float(np.sqrt(np.sum((u_new - u_exact) ** 2) * dz)))
     return err_v, err_u

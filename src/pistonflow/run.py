@@ -288,24 +288,27 @@ def run_simulation(
     stats: dict = {}
     eps = 1e-12 * max(1.0, schedule.t_end)
     try:
-        if state.regime == "outflow":
-            g_tracker = _GTracker.start(series, state, params)
-        _record(state, schedule, params, series, g_tracker)
-        while state.t < schedule.t_end - eps:
-            if state.regime == "inflow" and state.t >= schedule.t_star - eps:
-                state = switch_regime(state, schedule)
+        # one scope per run: a monitor that overflows reads inf instead of
+        # printing a numpy warning; the run still ends on the errors below
+        with np.errstate(over="ignore"):
+            if state.regime == "outflow":
                 g_tracker = _GTracker.start(series, state, params)
-                # zero-duration anchor record: outflow reference for the
-                # exponential bound and the regime flip of the boundary rates
-                _record(state, schedule, params, series, g_tracker)
-                continue
-            state = step(state, schedule, params, cfg, stats)
-            step_index += 1
             _record(state, schedule, params, series, g_tracker)
-            if progress is not None:
-                progress(state)
-            if snapshot_every > 0 and step_index % snapshot_every == 0:
-                snapshots.append(snapshot_of(state))
+            while state.t < schedule.t_end - eps:
+                if state.regime == "inflow" and state.t >= schedule.t_star - eps:
+                    state = switch_regime(state, schedule)
+                    g_tracker = _GTracker.start(series, state, params)
+                    # zero-duration anchor record: outflow reference for the
+                    # exponential bound and the regime flip of the boundary rates
+                    _record(state, schedule, params, series, g_tracker)
+                    continue
+                state = step(state, schedule, params, cfg, stats)
+                step_index += 1
+                _record(state, schedule, params, series, g_tracker)
+                if progress is not None:
+                    progress(state)
+                if snapshot_every > 0 and step_index % snapshot_every == 0:
+                    snapshots.append(snapshot_of(state))
     except ContactEvent as event:
         exit_code, event_time = EXIT_CONTACT, event.time
     except MassDepletionEvent as event:

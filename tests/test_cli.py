@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,7 +252,6 @@ class TestRunCommand:
         assert code == 4
         assert f"[{section}] {key}:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("section,key,value", [
         ("initial", "b1", "1e300"),  # b_dot ** 2 of the initial record
         ("params", "mu", "1e-300"),  # exp(G) at the outflow anchor
@@ -262,7 +262,9 @@ class TestRunCommand:
         ini = tmp_path / "huge.ini"
         ini.write_text(f"[numerics]\nn_cells = 8\n[{section}]\n{key} = {value}\n")
         out = tmp_path / "out"
-        code = main(["run", "--config", str(ini), "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["run", "--config", str(ini), "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
         assert code == summary["exit_code"] == 4
         assert summary["status"] == "failed"
@@ -301,6 +303,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "estimate-contact"])
+    def test_unexpected_exception_is_one_line_and_exits_four(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("pistonflow.cli.run_simulation", boom)
+        ini = tmp_path / "of.ini"
+        ini.write_text(OUTFLOW_INI)
+        code = main([command, "--config", str(ini), "--out", str(tmp_path / "out")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
 
     def test_cells_override(self, tmp_path):
         ini = tmp_path / "of.ini"

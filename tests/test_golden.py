@@ -13,6 +13,13 @@ import pytest
 from pistonflow.cli import render_series_csv, render_summary_json, simulate_scenario
 from pistonflow.config import parse_config
 from pistonflow.core import BoundarySchedule, GridState, Params, PistonState
+from pistonflow.oracle import (
+    convergence_order,
+    diffusion_case,
+    equilibrium_case,
+    run_forced,
+    smooth_case,
+)
 from pistonflow.solver import NumericsConfig, SimState, whole_horizon_fixed_point
 
 SCENARIOS = {
@@ -54,6 +61,29 @@ FIXED_POINT_GOLDEN = (
     "220a67746d9c7e153a3366f124a5495fe68009efef555c308966a64a3166c650"
 )
 
+# criterion 5's two convergence tables and the equilibrium forced run
+ORACLE_GOLDEN = {
+    "smooth_table": (
+        "46624fb349161e65c0fad6311439518f4b89edfefbd2b7d5f4055a6efaba66a2"
+    ),
+    "diffusion_table": (
+        "5ffd63d78f290d3c9da3356a2dcd5e81364cd7814b6dc6f302a743e226779eb0"
+    ),
+    "equilibrium_errors": (
+        "33f182838c96ef793648d45caa70a25a967cd18dfd0e8dff5973348224ce1e92"
+    ),
+}
+
+ORACLE_OUTPUTS = {
+    "smooth_table": lambda: convergence_order(
+        smooth_case(), [32, 64, 128, 256], t_end=0.5, dt0=0.005).as_csv(),
+    "diffusion_table": lambda: convergence_order(
+        diffusion_case(), [16, 32, 64, 128], t_end=0.1, dt0=0.005,
+        theta=0.5).as_csv(),
+    "equilibrium_errors": lambda: repr(
+        run_forced(equilibrium_case(), 16, 1e-2, 0.2)),
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -90,3 +120,8 @@ def test_series_and_summary_bytes_unchanged(name):
 
 def test_fixed_point_trajectory_unchanged():
     assert fixed_point_digest() == FIXED_POINT_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_OUTPUTS))
+def test_oracle_outputs_unchanged(name):
+    assert _sha(ORACLE_OUTPUTS[name]()) == ORACLE_GOLDEN[name]

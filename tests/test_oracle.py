@@ -1,5 +1,6 @@
 """Verification machinery: manufactured cases, convergence, piston oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from pistonflow.core import Params
 from pistonflow.oracle import (
     ManufacturedCase,
+    _on_grid,
     check_case,
     convergence_order,
     diffusion_case,
@@ -44,6 +46,37 @@ class TestResidualGuards:
                 f_u=lambda t, z: 0.0 * (t + z),
                 f_b=lambda t: 0.0 * t,
             )
+
+    def test_field_not_vectorized_over_z_rejected(self):
+        with pytest.raises(ValueError, match="'f_v' is not vectorized"):
+            dataclasses.replace(
+                equilibrium_case(), f_v=lambda t, z: 0.0 * math.sin(t + z)
+            )
+
+    @pytest.mark.parametrize("factory", [equilibrium_case, smooth_case,
+                                         diffusion_case])
+    def test_grid_sampling_matches_pointwise_loop(self, factory):
+        # numpy's array power may differ from its scalar power by 1 ulp
+        eps = np.finfo(float).eps
+        case = factory()
+        z = np.linspace(0.0, 1.0, 65)
+        for name in ("v", "u", "f_v", "f_u"):
+            f = getattr(case, name)
+            for t in (0.0, 0.137, 0.5):
+                loop = np.array([complex(f(t, zi)).real for zi in z])
+                np.testing.assert_allclose(_on_grid(f, t, z), loop,
+                                           rtol=4 * eps, atol=4 * eps)
+
+    def test_z_independent_scalar_field_accepted(self):
+        for case, fields in (
+            (equilibrium_case(), dict(u=lambda t, z: 0.0 * t,
+                                      f_v=lambda t, z: 0.0 * t)),
+            (diffusion_case(), dict(v=lambda t, z: 1.0 + 0.0 * t,
+                                    f_u=lambda t, z: 0.0 * t)),
+        ):
+            scalar = dataclasses.replace(case, **fields)
+            assert (run_forced(scalar, 16, 1e-2, 0.2)
+                    == run_forced(case, 16, 1e-2, 0.2))
 
     def test_corrupted_forcing_caught(self):
         good = smooth_case()
