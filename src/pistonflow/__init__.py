@@ -15,7 +15,6 @@ from .core import (
     pressure_q,
 )
 from .coords import (
-    CoeffPair,
     EulerianField,
     coefficients_alpha_beta,
     lagrangian_init_from_eulerian,
@@ -23,29 +22,17 @@ from .coords import (
     reconstruct_eulerian,
 )
 from .diagnostics import (
-    CSV_COLUMNS,
-    RunSeries,
     contact_time_lower_bound,
     energy,
     energy_budget_residual,
     total_mass_eulerian,
 )
-from .run import (
-    RunResult,
-    Snapshot,
-    build_initial_state,
-    run_simulation,
-    snapshot_of,
-)
 from .solver import (
     ContactEvent,
     MassDepletionEvent,
-    NonContractionError,
-    NumericalFailure,
     NumericsConfig,
     SimState,
     StateError,
-    StepRejected,
     eta_update_inflow,
     eta_update_outflow_picard,
     momentum_piston_solve,
@@ -59,24 +46,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundarySchedule",
-    "CSV_COLUMNS",
-    "CoeffPair",
     "ContactEvent",
     "EulerianField",
     "GridState",
     "MassDepletionEvent",
-    "NonContractionError",
-    "NumericalFailure",
     "NumericsConfig",
     "Params",
     "PistonState",
-    "RunResult",
-    "RunSeries",
     "SimState",
-    "Snapshot",
     "StateError",
-    "StepRejected",
-    "build_initial_state",
     "coefficients_alpha_beta",
     "contact_time_lower_bound",
     "energy",
@@ -89,8 +67,6 @@ __all__ = [
     "pressure_potential_Q",
     "pressure_q",
     "reconstruct_eulerian",
-    "run_simulation",
-    "snapshot_of",
     "step",
     "switch_regime",
     "total_mass_eulerian",

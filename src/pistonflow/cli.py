@@ -26,6 +26,7 @@ from .run import (
     build_initial_state,
     contact_bound_of,
     run_simulation,
+    snapshot_of,
 )
 
 _INIT_SAMPLES_PER_CELL = 4
@@ -75,10 +76,10 @@ def _write_outputs(result: RunResult, config: ScenarioConfig, out_dir: str) -> N
     summary_path = os.path.join(out_dir, config.outputs.summary)
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_summary_json(result))
-    for index, snap in enumerate(result.snapshots):
+    for index, state in enumerate(result.snapshots):
         path = os.path.join(out_dir, f"snapshot_{index:06d}.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(snap.as_dict(), fh)
+            json.dump(snapshot_of(state), fh)
             fh.write("\n")
 
 
@@ -163,8 +164,8 @@ def cmd_estimate_contact(args) -> int:
     if contact is None:
         print("run never reached the outflow phase", file=sys.stderr)
         return EXIT_FAILURE
-    v_min, bound = contact
-    print(f"eta at outflow start: {result.series.eta_star!r}")
+    eta_star, v_min, bound = contact
+    print(f"eta at outflow start: {eta_star!r}")
     print(f"boundary specific volume lower bound: {v_min!r}")
     if math.isfinite(bound):
         print(f"contact/depletion cannot happen before t = {bound!r}")
@@ -172,6 +173,8 @@ def cmd_estimate_contact(args) -> int:
         print("no depletion within the horizon (bound unbounded)")
     if result.event_time is not None:
         print(f"coarse simulation event: {result.status} at t = {result.event_time!r}")
+    elif result.exit_code == EXIT_FAILURE:
+        print(f"coarse simulation failed: {result.summary['failure_message']}")
     else:
         print(f"coarse simulation completed without contact (t_end = "
               f"{config.schedule.t_end!r})")

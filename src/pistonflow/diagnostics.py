@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable, Dict, MutableSequence, Optional
+from typing import Callable, Dict, MutableSequence
 
 import numpy as np
 
@@ -39,22 +38,15 @@ STORED_COLUMNS = (
 )
 
 
-@dataclass
 class RunSeries:
-    """Recorded diagnostics of one run, one column per quantity, plus
-    run-level monitor state."""
+    """Recorded diagnostics of one run: one column per quantity, nothing else
+    (the outflow-start anchor is the first ``outflow`` row)."""
 
-    v_star: Optional[np.ndarray] = None
-    eta_star: Optional[float] = None
-    t_star_actual: Optional[float] = None
-    g_bound_max_ratio: float = 0.0
-    failure_message: Optional[str] = None
-    # float64 buffers: a row costs 8 bytes per number, not a float object
-    _columns: Dict[str, MutableSequence] = field(
-        default_factory=lambda: {name: array("d") for name in STORED_COLUMNS}
-        | {"regime": []},
-        init=False, repr=False,
-    )
+    def __init__(self) -> None:
+        # float64 buffers: a row costs 8 bytes per number, not a float object
+        self._columns: Dict[str, MutableSequence] = {
+            name: array("d") for name in STORED_COLUMNS
+        } | {"regime": []}
 
     def __len__(self) -> int:
         return len(self._columns["t"])

@@ -4,7 +4,8 @@ The driver advances the solver step by step, appends one row of monitored
 values per accepted step to the columnar ``RunSeries`` (the energy-budget
 rates are stored; their time integrals are derived from the columns),
 switches regime exactly at t_star, and converts terminal solver events into
-a ``RunResult`` with the documented exit codes.
+a ``RunResult`` with the documented exit codes.  Its snapshots are the
+``SimState``s themselves; ``snapshot_of``/``state_from_snapshot`` give the JSON.
 """
 
 from __future__ import annotations
@@ -50,82 +51,38 @@ _STATUS_BY_CODE = {
 }
 
 
-@dataclass
-class Snapshot:
-    """Full restartable solver state at one instant.
+def snapshot_of(state: SimState) -> dict:
+    """JSON form of a restartable state; ``state_from_snapshot`` loads it.
 
     ``eta_dot_hint`` is the outflow flux of the last accepted step, which
     warm-starts the next Picard iteration (None before the first one).
     """
-
-    t: float
-    z: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
-    eta: float
-    b: float
-    b_dot: float
-    dt: float
-    regime: str
-    eta_dot_hint: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "z": [float(x) for x in self.z],
-            "v": [float(x) for x in self.v],
-            "u": [float(x) for x in self.u],
-            "eta": self.eta,
-            "b": self.b,
-            "b_dot": self.b_dot,
-            "dt": self.dt,
-            "regime": self.regime,
-            "eta_dot_hint": self.eta_dot_hint,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Snapshot":
-        """Load a snapshot; files without ``eta_dot_hint`` load it as None."""
-        hint = data.get("eta_dot_hint")
-        if hint is not None:
-            hint = float(hint)
-            if not math.isfinite(hint):
-                raise ValueError(f"eta_dot_hint must be finite, got {hint}")
-        return cls(
-            t=float(data["t"]),
-            z=np.asarray(data["z"], dtype=float),
-            v=np.asarray(data["v"], dtype=float),
-            u=np.asarray(data["u"], dtype=float),
-            eta=float(data["eta"]),
-            b=float(data["b"]),
-            b_dot=float(data["b_dot"]),
-            dt=float(data["dt"]),
-            regime=str(data["regime"]),
-            eta_dot_hint=hint,
-        )
-
-    def to_state(self) -> SimState:
-        grid = GridState(v=self.v, u=self.u, eta=self.eta)
-        piston = PistonState(b=self.b, b_dot=self.b_dot)
-        return SimState(
-            t=self.t, grid=grid, piston=piston,
-            regime=self.regime, dt_next=self.dt,  # type: ignore[arg-type]
-            eta_dot_hint=self.eta_dot_hint,
-        )
+    grid, piston = state.grid, state.piston
+    return {
+        "t": state.t,
+        "z": grid.z_edges.tolist(),
+        "v": grid.v.tolist(),
+        "u": grid.u.tolist(),
+        "eta": grid.eta,
+        "b": piston.b,
+        "b_dot": piston.b_dot,
+        "dt": state.dt_next,
+        "regime": state.regime,
+        "eta_dot_hint": state.eta_dot_hint,
+    }
 
 
-def snapshot_of(state: SimState) -> Snapshot:
-    return Snapshot(
-        t=state.t,
-        z=np.asarray(state.grid.z_edges),
-        v=np.asarray(state.grid.v),
-        u=np.asarray(state.grid.u),
-        eta=float(state.grid.eta),
-        b=state.piston.b,
-        b_dot=state.piston.b_dot,
-        dt=state.dt_next,
-        regime=state.regime,
-        eta_dot_hint=state.eta_dot_hint,
+def state_from_snapshot(data: dict) -> SimState:
+    """Load a ``snapshot_of`` dict; one without ``eta_dot_hint`` loads it as None."""
+    hint = data.get("eta_dot_hint")
+    return SimState(
+        t=float(data["t"]),
+        grid=GridState(v=np.asarray(data["v"], dtype=float),
+                       u=np.asarray(data["u"], dtype=float), eta=data["eta"]),
+        piston=PistonState(b=float(data["b"]), b_dot=float(data["b_dot"])),
+        regime=str(data["regime"]),  # type: ignore[arg-type]
+        dt_next=float(data["dt"]),
+        eta_dot_hint=None if hint is None else float(hint),
     )
 
 
@@ -137,7 +94,7 @@ class RunResult:
     exit_code: int
     event_time: Optional[float]
     summary: dict = field(default_factory=dict)
-    snapshots: List[Snapshot] = field(default_factory=list)
+    snapshots: List[SimState] = field(default_factory=list)
 
 
 def build_initial_state(
@@ -167,32 +124,32 @@ def build_initial_state(
 
 @dataclass
 class _GTracker:
-    """Incremental evaluation of the exponential-bound exponent.
+    """Outflow-start references of the exponential bound, and its running max.
 
-    Keeps the trapezoid of the spring term and the outflow-start reference
-    values so each step costs O(1); equivalent to recomputing the exponent's
-    trapezoid over the full recorded outflow series.
+    Anchored at T*: ``v_star``/``eta_star`` for the 1/v bound, and the
+    piston and velocity terms of the G exponent, whose spring trapezoid is
+    kept incrementally so each step costs O(1); equivalent to recomputing the
+    exponent's trapezoid over the full recorded outflow series.
     """
 
+    v_star: np.ndarray
+    eta_star: float
     ref_b: float
     ref_b_dot: float
     ref_u_l2: float
-    ref_eta_sqrt: float
     prev_t: float
     prev_spring: float
     spring_integral: float = 0.0
+    ratio_max: float = 0.0
 
     @classmethod
-    def start(cls, series: RunSeries, state: SimState, params: Params) -> "_GTracker":
-        """Anchor the outflow references of the series and of G at ``state``."""
-        series.v_star = np.array(state.grid.v)
-        series.eta_star = float(state.grid.eta)
-        series.t_star_actual = state.t
+    def start(cls, state: SimState, params: Params) -> "_GTracker":
         return cls(
+            v_star=state.grid.v,
+            eta_star=state.grid.eta,
             ref_b=state.piston.b,
             ref_b_dot=state.piston.b_dot,
             ref_u_l2=velocity_l2(state),
-            ref_eta_sqrt=math.sqrt(state.grid.eta),
             prev_t=state.t,
             prev_spring=params.stiffness_K * (state.piston.b - params.b_rest),
         )
@@ -208,7 +165,7 @@ class _GTracker:
             state.piston.b_dot - self.ref_b_dot
             + params.damping_l * (state.piston.b - self.ref_b)
             + self.spring_integral
-            + self.ref_eta_sqrt * (u_l2 + self.ref_u_l2)
+            + math.sqrt(self.eta_star) * (u_l2 + self.ref_u_l2)
         ) / params.mu
 
 
@@ -240,10 +197,12 @@ def _record(
 
     g_value = math.nan
     u_l2 = velocity_l2(state)
-    if state.regime == "outflow":  # _GTracker.start has anchored g_tracker and v_star
+    if state.regime == "outflow":  # _GTracker.start has anchored g_tracker
         g_value = g_tracker.advance(state, u_l2, params)
-        ratio = volume_bound_ratio(state, series.v_star, series.eta_star, g_value)
-        series.g_bound_max_ratio = max(series.g_bound_max_ratio, ratio)
+        ratio = volume_bound_ratio(
+            state, g_tracker.v_star, g_tracker.eta_star, g_value
+        )
+        g_tracker.ratio_max = max(g_tracker.ratio_max, ratio)
 
     series.append(
         t=state.t,
@@ -280,10 +239,11 @@ def run_simulation(
     state = initial
     series = RunSeries()
     g_tracker: Optional[_GTracker] = None
-    snapshots = [snapshot_of(state)] if snapshot_every > 0 else []
+    snapshots = [state] if snapshot_every > 0 else []
 
     exit_code = EXIT_COMPLETED
     event_time: Optional[float] = None
+    failure_message: Optional[str] = None
     step_index = 0
     stats: dict = {}
     eps = 1e-12 * max(1.0, schedule.t_end)
@@ -292,12 +252,12 @@ def run_simulation(
         # printing a numpy warning; the run still ends on the errors below
         with np.errstate(over="ignore"):
             if state.regime == "outflow":
-                g_tracker = _GTracker.start(series, state, params)
+                g_tracker = _GTracker.start(state, params)
             _record(state, schedule, params, series, g_tracker)
             while state.t < schedule.t_end - eps:
                 if state.regime == "inflow" and state.t >= schedule.t_star - eps:
                     state = switch_regime(state, schedule)
-                    g_tracker = _GTracker.start(series, state, params)
+                    g_tracker = _GTracker.start(state, params)
                     # zero-duration anchor record: outflow reference for the
                     # exponential bound and the regime flip of the boundary rates
                     _record(state, schedule, params, series, g_tracker)
@@ -308,24 +268,23 @@ def run_simulation(
                 if progress is not None:
                     progress(state)
                 if snapshot_every > 0 and step_index % snapshot_every == 0:
-                    snapshots.append(snapshot_of(state))
+                    snapshots.append(state)
     except ContactEvent as event:
         exit_code, event_time = EXIT_CONTACT, event.time
     except MassDepletionEvent as event:
         exit_code, event_time = EXIT_DEPLETION, event.time
     except (NumericalFailure, StepRejected) as event:
-        exit_code = EXIT_FAILURE
-        series.failure_message = str(event)
+        exit_code, failure_message = EXIT_FAILURE, str(event)
     except OverflowError as event:
         # a finite state whose monitored values exceed the float range
         exit_code = EXIT_FAILURE
-        series.failure_message = f"floating-point overflow at t={state.t:.6g}: {event}"
+        failure_message = f"floating-point overflow at t={state.t:.6g}: {event}"
 
     summary = _summarize(
-        series, schedule, exit_code, event_time, initial_bdot_correction
+        series, schedule, exit_code, event_time, initial_bdot_correction,
+        g_ratio_max=g_tracker.ratio_max if g_tracker is not None else 0.0,
+        failure_message=failure_message, stats=stats,
     )
-    summary["step_rejections"] = stats.get("rejections", 0)
-    summary["picard_iterations_max"] = stats.get("picard_iterations_max", 0)
     return RunResult(
         series=series,
         final_state=state,
@@ -339,11 +298,13 @@ def run_simulation(
 
 def contact_bound_of(
     series: RunSeries, schedule: BoundarySchedule, event_time: Optional[float]
-) -> Optional[Tuple[float, float]]:
-    """Smallest recorded outflow boundary v and the T3 bound it gives.
+) -> Optional[Tuple[float, float, float]]:
+    """``(eta_star, v_min, bound)``: the T3 bound from the recorded outflow.
 
-    The bound's horizon reaches one time unit past the event (or t_end).
-    None when the run never reached the outflow phase.
+    ``eta_star`` and T* are read from the first outflow row, the anchor
+    recorded at the outflow start; ``v_min`` is the smallest recorded outflow
+    boundary v.  The bound's horizon reaches one time unit past the event (or
+    t_end).  None when the run never reached the outflow phase.
     """
     # imported at call time, so a wrapper set on the diagnostics module applies
     from .diagnostics import contact_time_lower_bound
@@ -351,15 +312,17 @@ def contact_bound_of(
     outflow = series.column("regime") == "outflow"
     if schedule.u_out is None or not outflow.any():
         return None
+    anchor = int(np.argmax(outflow))
+    eta_star = float(series.column("eta")[anchor])
     v_min = float(series.column("v_boundary")[outflow].min())
     bound = contact_time_lower_bound(
-        series.eta_star,
+        eta_star,
         schedule.u_out,
         v_min,
-        t_star=series.t_star_actual,
+        t_star=float(series.column("t")[anchor]),
         t_end=max(schedule.t_end, (event_time or 0.0) + 1.0),
     )
-    return v_min, bound
+    return eta_star, v_min, bound
 
 
 def _summarize(
@@ -368,7 +331,13 @@ def _summarize(
     exit_code: int,
     event_time: Optional[float],
     initial_bdot_correction: float,
+    *,
+    g_ratio_max: float = 0.0,
+    failure_message: Optional[str] = None,
+    stats: Optional[dict] = None,
 ) -> dict:
+    """The ``summary.json`` of a run; ``stats`` are the step counters."""
+    stats = stats or {}
     rows = len(series)
     eta = series.column("eta")
     # the mass change summed step by step from 0.0, in row order
@@ -386,19 +355,19 @@ def _summarize(
         "mass_flux_identity_error": float(abs(
             (eta[-1] - eta[0]) - eta_change
         )) if rows else None,
-        "g_bound_max_ratio": float(series.g_bound_max_ratio) or None,
+        "g_bound_max_ratio": float(g_ratio_max) or None,
+        "step_rejections": stats.get("rejections", 0),
+        "picard_iterations_max": stats.get("picard_iterations_max", 0),
     }
-    if series.g_bound_max_ratio:
-        summary["g_bound_ok"] = bool(
-            series.g_bound_max_ratio <= 1.0 + TOL_BOUND
-        )
-    if series.failure_message is not None:
-        summary["failure_message"] = series.failure_message
+    if g_ratio_max:
+        summary["g_bound_ok"] = bool(g_ratio_max <= 1.0 + TOL_BOUND)
+    if failure_message is not None:
+        summary["failure_message"] = failure_message
     if rows >= 2:
         summary["energy_budget_residual"] = energy_budget_residual(series)
     contact = contact_bound_of(series, schedule, event_time)
     if contact is not None:
-        bound = contact[1]
+        bound = contact[2]
         summary["contact_time_lower_bound"] = (
             bound if math.isfinite(bound) else "inf"
         )

@@ -133,6 +133,8 @@ class SimState:
     eta_dot_hint: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         if self.regime not in ("inflow", "outflow"):
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.grid.u[0] != self.piston.b_dot:
@@ -142,6 +144,8 @@ class SimState:
             )
         if not 0.0 < self.dt_next < math.inf:
             raise ValueError(f"dt_next must be positive and finite, got {self.dt_next}")
+        if self.eta_dot_hint is not None and not math.isfinite(self.eta_dot_hint):
+            raise ValueError(f"eta_dot_hint must be finite, got {self.eta_dot_hint}")
 
 
 def _transport(v: np.ndarray, u: np.ndarray, alpha: float, beta: np.ndarray,

@@ -15,7 +15,7 @@ from pistonflow import GridState, NumericsConfig, Params, PistonState, SimState
 from pistonflow.cli import main, render_series_csv, simulate_scenario
 from pistonflow.config import ConfigError, OutputConfig, parse_config
 from pistonflow.diagnostics import CSV_COLUMNS
-from pistonflow.run import Snapshot, run_simulation, snapshot_of
+from pistonflow.run import run_simulation, snapshot_of, state_from_snapshot
 
 EQUILIBRIUM_INI = """
 [params]
@@ -354,10 +354,10 @@ class TestDeterminismAndSnapshots:
             snaps = sorted(out.glob("snapshot_*.json"))
             assert len(snaps) >= 3
             # snaps[0] is the initial state, snaps[1] the state after step 10
-            snap = Snapshot.from_dict(json.loads(snaps[1].read_text()))
+            snap = state_from_snapshot(json.loads(snaps[1].read_text()))
             cfg = parse_config(ini_text)
             resumed = run_simulation(cfg.params, cfg.numerics, cfg.schedule,
-                                     snap.to_state())
+                                     snap)
             rows = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[10:]
             assert rows.shape[0] == len(resumed.series) > 20
             for col_name in ("t", "b", "b_dot", "eta", "mass_eulerian", "energy",
@@ -371,13 +371,15 @@ class TestDeterminismAndSnapshots:
         grid = GridState(v=np.ones(8), u=np.zeros(9), eta=1.0)
         state = SimState(t=0.25, grid=grid, piston=PistonState(b=1.0, b_dot=0.0),
                          regime="outflow", dt_next=1e-3, eta_dot_hint=-0.1234567891)
-        data = json.loads(json.dumps(snapshot_of(state).as_dict()))
-        assert Snapshot.from_dict(data).to_state().eta_dot_hint == -0.1234567891
+        data = json.loads(json.dumps(snapshot_of(state)))
+        assert state_from_snapshot(data).eta_dot_hint == -0.1234567891
         # files written without the hint load it as None
         del data["eta_dot_hint"]
-        assert Snapshot.from_dict(data).to_state().eta_dot_hint is None
+        assert state_from_snapshot(data).eta_dot_hint is None
         with pytest.raises(ValueError, match="eta_dot_hint"):
-            Snapshot.from_dict({**data, "eta_dot_hint": "nan"})
+            state_from_snapshot({**data, "eta_dot_hint": "nan"})
+        with pytest.raises(ValueError, match="t must be finite"):
+            state_from_snapshot({**data, "t": float("nan")})
 
 
 class TestEstimateContact:
@@ -401,6 +403,22 @@ class TestEstimateContact:
         captured = capsys.readouterr().out
         assert "unbounded" in captured
         assert code == 0
+
+    @pytest.mark.parametrize("key,value,cause", [
+        ("mu", "1e-300", "overflow"),
+        ("gamma", "1e300", "stability bound"),
+    ])
+    def test_failed_coarse_run_reports_failure(self, tmp_path, capsys, key,
+                                               value, cause):
+        ini = tmp_path / "fail.ini"
+        ini.write_text(f"[params]\n{key} = {value}\n[schedule]\nt_star = 0.0\n"
+                       "[numerics]\nn_cells = 16\n")
+        code = main(["estimate-contact", "--config", str(ini)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 4
+        assert lines[-1].startswith("coarse simulation failed: ")
+        assert cause in lines[-1]
+        assert not any("completed" in line for line in lines)
 
 
 class TestVerifyCommand:

@@ -147,8 +147,8 @@ def _grid(v=1.0, u=0.0, eta=1.0):
     return GridState(v=vs, u=us, eta=eta)
 
 
-def _sim_state(dt_next):
-    return SimState(t=0.0, grid=_grid(), piston=PistonState(b=1.0),
+def _sim_state(dt_next=1e-3, t=0.0):
+    return SimState(t=t, grid=_grid(), piston=PistonState(b=1.0),
                     regime="inflow", dt_next=dt_next)
 
 
@@ -170,12 +170,16 @@ INF = float("inf")
     lambda: NumericsConfig(dt_growth=INF),
     lambda: NumericsConfig(picard_tol=INF),
     lambda: _sim_state(dt_next=INF),
+    lambda: _sim_state(t=NAN),
+    lambda: _sim_state(t=INF),
+    lambda: _sim_state(t=-INF),
 ], ids=[
     "Params.b_rest=nan", "Params.mu=inf", "Params.stiffness_K=inf",
     "Params.gamma=inf", "PistonState.b=inf", "PistonState.b_dot=nan",
     "GridState.eta=inf", "GridState.u=nan", "GridState.v=inf",
     "NumericsConfig.dt_initial=inf", "NumericsConfig.dt_growth=inf",
     "NumericsConfig.picard_tol=inf", "SimState.dt_next=inf",
+    "SimState.t=nan", "SimState.t=inf", "SimState.t=-inf",
 ])
 def test_constructors_reject_non_finite_values(build):
     with pytest.raises(ValueError, match="finite"):

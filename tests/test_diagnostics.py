@@ -252,7 +252,6 @@ class TestEnergyBudget:
         assert series.column("boundary_work_cum").tolist() == [0.0, 0.0, 2.0]
         # |9 + 1 + 0.5 + 0 - 10 - 2| / 10
         assert energy_budget_residual(series) == 0.15
-        series.eta_star, series.t_star_actual = 1.0, 0.5  # set at the anchor
         summary = _summarize(series, BoundarySchedule(t_star=0.0, t_end=1.0,
                                                       u_out=lambda t: 0.0),
                              0, None, 0.0)

@@ -10,7 +10,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from pistonflow.cli import render_series_csv, render_summary_json, simulate_scenario
+from pistonflow.cli import (
+    main,
+    render_series_csv,
+    render_summary_json,
+    simulate_scenario,
+)
 from pistonflow.config import parse_config
 from pistonflow.core import BoundarySchedule, GridState, Params, PistonState
 from pistonflow.oracle import (
@@ -85,6 +90,17 @@ ORACLE_OUTPUTS = {
 }
 
 
+# every snapshot file of ``fixed_dt`` run with [outputs] snapshot_every = 7
+SNAPSHOTS_GOLDEN = (
+    "2e30f111c2c354e6eca851723c295aceef47dee90548771f3a41159890349d21"
+)
+
+# stdout of ``estimate-contact`` on ``depletion_n48``
+ESTIMATE_CONTACT_GOLDEN = (
+    "43eb67abbcb5900ee54c18ca981af0e93ae17621cea6c0147e9af7356c7d701e"
+)
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -125,3 +141,22 @@ def test_fixed_point_trajectory_unchanged():
 @pytest.mark.parametrize("name", sorted(ORACLE_OUTPUTS))
 def test_oracle_outputs_unchanged(name):
     assert _sha(ORACLE_OUTPUTS[name]()) == ORACLE_GOLDEN[name]
+
+
+def test_snapshot_files_unchanged(tmp_path):
+    ini = tmp_path / "fixed_dt.ini"
+    ini.write_text(SCENARIOS["fixed_dt"] + "[outputs]\nsnapshot_every = 7\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.glob("snapshot_*.json")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == SNAPSHOTS_GOLDEN
+
+
+def test_estimate_contact_stdout_unchanged(tmp_path, capsys):
+    ini = tmp_path / "depletion_n48.ini"
+    ini.write_text(SCENARIOS["depletion_n48"])
+    main(["estimate-contact", "--config", str(ini)])
+    assert _sha(capsys.readouterr().out) == ESTIMATE_CONTACT_GOLDEN
