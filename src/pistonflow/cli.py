@@ -162,7 +162,10 @@ def cmd_estimate_contact(args) -> int:
     result = simulate_scenario(coarse)
     contact = contact_bound_of(result.series, config.schedule, result.event_time)
     if contact is None:
-        print("run never reached the outflow phase", file=sys.stderr)
+        if result.exit_code == EXIT_FAILURE:  # failed at or before T*
+            print(f"coarse simulation failed: {result.summary['failure_message']}")
+        else:
+            print("run never reached the outflow phase", file=sys.stderr)
         return EXIT_FAILURE
     eta_star, v_min, bound = contact
     print(f"eta at outflow start: {eta_star!r}")

@@ -1,9 +1,10 @@
 """Runtime monitors for every conserved or bounded quantity of the model.
 
 All quadratures follow one convention: midpoint in the mass coordinate,
-trapezoid in time.  The functions here are pure; the run driver evaluates
-them once per recorded state and appends the values to a columnar
-``RunSeries``.
+trapezoid in time.  The functions here are pure and take one state.  The
+run driver's record (``run._Record``) computes the same values for a block
+of states at once, with the same elementwise operations in the same order,
+and appends them to a columnar ``RunSeries``.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ class RunSeries:
     def __len__(self) -> int:
         return len(self._columns["t"])
 
-    def append(self, **row) -> None:
-        """Add one recorded state; ``row`` gives every stored column."""
+    def extend(self, **columns) -> None:
+        """Add recorded states; ``columns`` gives every stored column, one
+        value per state."""
         for name, column in self._columns.items():
-            column.append(row[name])
+            column.extend(columns[name])
 
     def column(self, name: str) -> np.ndarray:
         """One column as an array, stored or derived (``*_cum``)."""

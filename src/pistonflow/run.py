@@ -1,11 +1,16 @@
 """Run orchestration: phase sequencing, diagnostics recording, event handling.
 
-The driver advances the solver step by step, appends one row of monitored
-values per accepted step to the columnar ``RunSeries`` (the energy-budget
-rates are stored; their time integrals are derived from the columns),
-switches regime exactly at t_star, and converts terminal solver events into
-a ``RunResult`` with the documented exit codes.  Its snapshots are the
-``SimState``s themselves; ``snapshot_of``/``state_from_snapshot`` give the JSON.
+The driver advances the solver step by step and records one row of monitored
+values per accepted step in the columnar ``RunSeries`` (the energy-budget
+rates are stored; their time integrals are derived from the columns).  The
+record (``_Record``) works in blocks: a row's scalar terms are computed when
+its state is accepted, so a monitor that overflows ends the run at that
+row; its ``v``/``u`` are staged, and the array monitors of a whole block of
+rows are computed at once, with the bits of the per-state functions in
+``diagnostics``.  The driver switches regime exactly at t_star and converts
+terminal solver events into a ``RunResult`` with the documented exit codes.
+Its snapshots are the ``SimState``s themselves; ``snapshot_of``/
+``state_from_snapshot`` give the JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import numpy as np
 
 from .coords import EulerianField, lagrangian_init_from_eulerian
 from .core import BoundarySchedule, GridState, Params, PistonState, pressure_q
+# energy, total_mass_eulerian and volume_bound_ratio stay importable from this
+# module although it does not call them: perfbench/tracer.py wraps them here
 from .diagnostics import (
     TOL_BOUND,
     RunSeries,
@@ -169,60 +176,162 @@ class _GTracker:
         ) / params.mu
 
 
-def _record(
-    state: SimState,
-    schedule: BoundarySchedule,
-    params: Params,
-    series: RunSeries,
-    g_tracker: Optional[_GTracker],
-) -> None:
-    """Append the diagnostics row of ``state``."""
-    grid = state.grid
-    alpha = -1.0 / grid.eta
-    u_z = np.diff(grid.u) / grid.dz
-    u_y = alpha * u_z  # velocity gradient in the mass coordinate, per cell
-    # open-end velocity, specific volume and instantaneous mass flux
-    u_b = float(grid.u[-1])
-    if state.regime == "inflow":
-        rho_b = float(schedule.rho_in(min(state.t, schedule.t_star)))
-        v_b = 1.0 / rho_b
-        flux = float(schedule.u_in(min(state.t, schedule.t_star))) * rho_b
-    else:
-        v_b = float(grid.v[-1])
-        flux = float(schedule.u_out(state.t)) / v_b
-    # sigma = mu u_y / v - q with the boundary cell's mass-coordinate gradient
-    sigma_b = params.mu * float(u_y[-1]) / v_b - float(
-        pressure_q(v_b, params.gamma)
-    )
+def _eulerian_mass_rows(v: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``total_mass_eulerian`` of each row: ``reconstruct_eulerian`` (cell
+    volumes summed from the open end, 1/v at the edges), then the trapezoid."""
+    rows, n = v.shape
+    x = np.zeros((rows, n + 1))
+    np.cumsum((v * dy[:, None])[:, ::-1], axis=1, out=x[:, 1:])
+    v_edges = np.empty((rows, n + 1))
+    v_edges[:, 1:-1] = 0.5 * (v[:, :-1] + v[:, 1:])
+    v_edges[:, 0] = np.maximum(1.5 * v[:, 0] - 0.5 * v[:, 1], 0.5 * v[:, 0])
+    v_edges[:, -1] = np.maximum(1.5 * v[:, -1] - 0.5 * v[:, -2], 0.5 * v[:, -1])
+    return np.trapezoid(1.0 / v_edges[:, ::-1], x, axis=1)
 
-    g_value = math.nan
-    u_l2 = velocity_l2(state)
-    if state.regime == "outflow":  # _GTracker.start has anchored g_tracker
-        g_value = g_tracker.advance(state, u_l2, params)
-        ratio = volume_bound_ratio(
-            state, g_tracker.v_star, g_tracker.eta_star, g_value
+
+def _fluid_energy_rows(v: np.ndarray, u: np.ndarray, dy: np.ndarray,
+                       gamma: float) -> np.ndarray:
+    """The fluid part of ``energy`` of each row: midpoint quadrature of
+    u^2/2 - Q(v)."""
+    u_c = 0.5 * (u[:, :-1] + u[:, 1:])
+    q_pot = v ** (1.0 - gamma) / (1.0 - gamma)
+    return np.sum(0.5 * u_c * u_c - q_pot, axis=1) * dy
+
+
+def _dissipation_rows(v: np.ndarray, u: np.ndarray, eta: np.ndarray,
+                      dy: np.ndarray, mu: float) -> np.ndarray:
+    """Viscous dissipation rate of each row, mu u_y^2 / v over the mass
+    coordinate, with u_y = alpha u_z the velocity gradient per cell."""
+    u_y = (-1.0 / eta)[:, None] * (np.diff(u, axis=1) / (1.0 / v.shape[1]))
+    return np.sum(mu / v * u_y * u_y, axis=1) * dy
+
+
+def _block_rows(n_cells: int) -> int:
+    """Rows staged per block: about 8192 cell values, at most 64 rows."""
+    return max(1, min(64, 8192 // n_cells))
+
+
+class _Record:
+    """Diagnostics rows of accepted states, appended to a ``RunSeries`` in blocks.
+
+    ``add`` computes a state's scalar terms at once (boundary values and
+    rates, ``u_l2``, the piston and spring energy, the G exponent and
+    exp(G)) in the order in which they can raise ``OverflowError``, then
+    stages the state's ``v`` and ``u``; a state that raises is never staged,
+    so a run ends at the first row whose monitors overflow.
+    ``flush`` computes the array monitors of all staged rows with axis-1
+    operations: the elementwise operations of ``reconstruct_eulerian`` plus
+    ``np.trapezoid``, ``energy`` and ``volume_bound_ratio``, in the same
+    order, so every value has the bits of the per-state functions.  It runs
+    when the block is full and once at run end.
+    """
+
+    def __init__(
+        self, series: RunSeries, schedule: BoundarySchedule, params: Params,
+        grid: GridState,
+    ) -> None:
+        rows = _block_rows(grid.n_cells)
+        self._series = series
+        self.g_tracker: Optional[_GTracker] = None
+        self._schedule = schedule
+        self._params = params
+        self._z_centers = grid.z_centers
+        self._v = np.empty((rows, grid.n_cells))
+        self._u = np.empty((rows, grid.n_cells + 1))
+        self._staged: List[tuple] = []
+
+    def anchor(self, state: SimState) -> None:
+        """Anchor the G exponent and the 1/v bound at the outflow start."""
+        self.g_tracker = _GTracker.start(state, self._params)
+
+    def add(self, state: SimState) -> None:
+        """Stage the row of ``state``; flush when the block is full."""
+        grid, piston = state.grid, state.piston
+        params, schedule = self._params, self._schedule
+        # open-end velocity, specific volume and instantaneous mass flux
+        u_b = float(grid.u[-1])
+        if state.regime == "inflow":
+            rho_b = float(schedule.rho_in(min(state.t, schedule.t_star)))
+            v_b = 1.0 / rho_b
+            flux = float(schedule.u_in(min(state.t, schedule.t_star))) * rho_b
+        else:
+            v_b = float(grid.v[-1])
+            flux = float(schedule.u_out(state.t)) / v_b
+        # sigma = mu u_y / v - q with the boundary cell's mass-coordinate gradient
+        u_y_b = (-1.0 / grid.eta) * ((u_b - float(grid.u[-2])) / grid.dz)
+        sigma_b = params.mu * u_y_b / v_b - float(pressure_q(v_b, params.gamma))
+        u_c = grid.u_centers()
+        u_l2 = math.sqrt(np.sum(u_c * u_c) * grid.dy)  # velocity_l2
+
+        g_value = exp_g = math.nan
+        if state.regime == "outflow":  # anchor() has started the tracker
+            g_value = self.g_tracker.advance(state, u_l2, params)
+            exp_g = math.exp(g_value)
+        piston_energy = 0.5 * piston.b_dot ** 2
+        spring_energy = 0.5 * params.stiffness_K * (piston.b - params.b_rest) ** 2
+        damping_rate = params.damping_l * piston.b_dot ** 2
+        outflux_rate = -u_b / (params.gamma - 1.0) * v_b ** (-params.gamma)
+        work_rate = flux * 0.5 * u_b * u_b - u_b * sigma_b
+
+        row = len(self._staged)
+        self._v[row] = grid.v
+        self._u[row] = grid.u
+        self._staged.append((
+            state.t, piston.b, piston.b_dot, grid.eta, state.regime, g_value,
+            exp_g, u_l2, v_b, piston_energy, spring_energy, damping_rate,
+            outflux_rate, work_rate,
+        ))
+        if row + 1 == len(self._v):
+            self.flush()
+
+    def flush(self) -> None:
+        """Compute the array monitors of the staged rows and append the rows."""
+        rows = len(self._staged)
+        if not rows:
+            return
+        (t, b, b_dot, eta, regime, g_value, exp_g, u_l2, v_b, piston_energy,
+         spring_energy, damping_rate, outflux_rate, work_rate) = zip(*self._staged)
+        params = self._params
+        v, u = self._v[:rows], self._u[:rows]
+        eta_col = np.array(eta)
+        dy = eta_col / v.shape[1]  # GridState.dy per row
+        total_energy = (
+            _fluid_energy_rows(v, u, dy, params.gamma)
+            + np.array(piston_energy) + np.array(spring_energy)
         )
-        g_tracker.ratio_max = max(g_tracker.ratio_max, ratio)
+        outflow = np.array(regime) == "outflow"
+        if outflow.any():
+            self._fold_bound_ratio(v[outflow], eta_col[outflow],
+                                   np.array(exp_g)[outflow])
 
-    series.append(
-        t=state.t,
-        b=state.piston.b,
-        b_dot=state.piston.b_dot,
-        eta=float(grid.eta),
-        mass_eulerian=total_mass_eulerian(state),
-        energy=energy(state, params),
-        min_v=float(np.min(grid.v)),
-        max_v=float(np.max(grid.v)),
-        G_exponent=g_value,
-        regime=state.regime,
-        u_l2=u_l2,
-        b_recon=float(np.sum(grid.v) * grid.dy),
-        v_boundary=v_b,
-        dissipation_rate=float(np.sum(params.mu / grid.v * u_y * u_y) * grid.dy),
-        damping_rate=params.damping_l * state.piston.b_dot ** 2,
-        outflux_pressure_rate=-u_b / (params.gamma - 1.0) * v_b ** (-params.gamma),
-        boundary_work_rate=flux * 0.5 * u_b * u_b - u_b * sigma_b,
-    )
+        self._series.extend(
+            t=t, b=b, b_dot=b_dot, eta=eta,
+            mass_eulerian=_eulerian_mass_rows(v, dy).tolist(),
+            energy=total_energy.tolist(),
+            min_v=np.min(v, axis=1).tolist(),
+            max_v=np.max(v, axis=1).tolist(),
+            G_exponent=g_value, regime=regime, u_l2=u_l2,
+            b_recon=(np.sum(v, axis=1) * dy).tolist(),
+            v_boundary=v_b,
+            dissipation_rate=_dissipation_rows(v, u, eta_col, dy, params.mu).tolist(),
+            damping_rate=damping_rate,
+            outflux_pressure_rate=outflux_rate,
+            boundary_work_rate=work_rate,
+        )
+        self._staged.clear()
+
+    def _fold_bound_ratio(self, v: np.ndarray, eta: np.ndarray,
+                          exp_g: np.ndarray) -> None:
+        """``volume_bound_ratio`` of outflow rows, folded into ``ratio_max``."""
+        tracker = self.g_tracker
+        n_star = tracker.v_star.size
+        z_centers_star = (np.arange(n_star) + 0.5) / n_star
+        # reference profile at the mass labels of the current cells
+        z_matched = self._z_centers * (eta / tracker.eta_star)[:, None]
+        v_ref = np.interp(z_matched.ravel(), z_centers_star, tracker.v_star)
+        ratio = (1.0 / v) / ((1.0 / v_ref.reshape(v.shape)) * exp_g[:, None])
+        # Python's max in row order, as a running max over single rows
+        tracker.ratio_max = max(tracker.ratio_max, *np.max(ratio, axis=1).tolist())
 
 
 def run_simulation(
@@ -238,7 +347,7 @@ def run_simulation(
     """Drive a full run from ``initial`` to t_end or a terminal event."""
     state = initial
     series = RunSeries()
-    g_tracker: Optional[_GTracker] = None
+    record = _Record(series, schedule, params, state.grid)
     snapshots = [state] if snapshot_every > 0 else []
 
     exit_code = EXIT_COMPLETED
@@ -247,39 +356,42 @@ def run_simulation(
     step_index = 0
     stats: dict = {}
     eps = 1e-12 * max(1.0, schedule.t_end)
-    try:
-        # one scope per run: a monitor that overflows reads inf instead of
-        # printing a numpy warning; the run still ends on the errors below
-        with np.errstate(over="ignore"):
+    # one scope per run: a monitor that overflows reads inf instead of
+    # printing a numpy warning; the run still ends on the errors below
+    with np.errstate(over="ignore"):
+        try:
             if state.regime == "outflow":
-                g_tracker = _GTracker.start(state, params)
-            _record(state, schedule, params, series, g_tracker)
+                record.anchor(state)
+            record.add(state)
             while state.t < schedule.t_end - eps:
                 if state.regime == "inflow" and state.t >= schedule.t_star - eps:
                     state = switch_regime(state, schedule)
-                    g_tracker = _GTracker.start(state, params)
+                    record.anchor(state)
                     # zero-duration anchor record: outflow reference for the
                     # exponential bound and the regime flip of the boundary rates
-                    _record(state, schedule, params, series, g_tracker)
+                    record.add(state)
                     continue
                 state = step(state, schedule, params, cfg, stats)
                 step_index += 1
-                _record(state, schedule, params, series, g_tracker)
+                record.add(state)
                 if progress is not None:
                     progress(state)
                 if snapshot_every > 0 and step_index % snapshot_every == 0:
                     snapshots.append(state)
-    except ContactEvent as event:
-        exit_code, event_time = EXIT_CONTACT, event.time
-    except MassDepletionEvent as event:
-        exit_code, event_time = EXIT_DEPLETION, event.time
-    except (NumericalFailure, StepRejected) as event:
-        exit_code, failure_message = EXIT_FAILURE, str(event)
-    except OverflowError as event:
-        # a finite state whose monitored values exceed the float range
-        exit_code = EXIT_FAILURE
-        failure_message = f"floating-point overflow at t={state.t:.6g}: {event}"
+        except ContactEvent as event:
+            exit_code, event_time = EXIT_CONTACT, event.time
+        except MassDepletionEvent as event:
+            exit_code, event_time = EXIT_DEPLETION, event.time
+        except (NumericalFailure, StepRejected) as event:
+            exit_code, failure_message = EXIT_FAILURE, str(event)
+        except OverflowError as event:
+            # a finite state whose monitored values exceed the float range
+            exit_code = EXIT_FAILURE
+            failure_message = f"floating-point overflow at t={state.t:.6g}: {event}"
+        # the rows staged before t_end, the event or the failure
+        record.flush()
 
+    g_tracker = record.g_tracker
     summary = _summarize(
         series, schedule, exit_code, event_time, initial_bdot_correction,
         g_ratio_max=g_tracker.ratio_max if g_tracker is not None else 0.0,

@@ -420,6 +420,22 @@ class TestEstimateContact:
         assert cause in lines[-1]
         assert not any("completed" in line for line in lines)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("params", "mu", "1e-300"),  # fails at the t_star anchor row
+        ("initial", "b1", "1e300"),  # fails at t = 0, in the inflow phase
+    ])
+    def test_coarse_run_failing_before_outflow_reports_failure(
+            self, tmp_path, capsys, section, key, value):
+        ini = tmp_path / "fail.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n[numerics]\nn_cells = 16\n")
+        code = main(["estimate-contact", "--config", str(ini)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert len(captured.out.splitlines()) == 1
+        assert captured.out.startswith("coarse simulation failed: "
+                                       "floating-point overflow at t=")
+        assert "never reached" not in captured.err
+
 
 class TestVerifyCommand:
     def test_manufactured_suite_passes_and_prints(self, capsys):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from pistonflow import (
-    EulerianField,
-    GridState,
+from pistonflow import EulerianField, GridState
+from pistonflow.coords import (
     coefficients_alpha_beta,
     lagrangian_init_from_eulerian,
     mass_coordinate_of,

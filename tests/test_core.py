@@ -12,9 +12,8 @@ from pistonflow import (
     Params,
     PistonState,
     SimState,
-    pressure_potential_Q,
-    pressure_q,
 )
+from pistonflow.core import pressure_potential_Q, pressure_q
 
 # frozen with mpmath (30 digits): 2**-1.4
 TWO_POW_MINUS_1_4 = 0.378929141627599520586814950327

@@ -14,12 +14,16 @@ from pistonflow import (
     PistonState,
     SimState,
     StateError,
+)
+from pistonflow.diagnostics import (
+    STORED_COLUMNS,
+    RunSeries,
     contact_time_lower_bound,
     energy,
     energy_budget_residual,
     total_mass_eulerian,
+    velocity_l2,
 )
-from pistonflow.diagnostics import STORED_COLUMNS, RunSeries, velocity_l2
 from pistonflow.run import _summarize, run_simulation
 
 
@@ -34,8 +38,8 @@ def make_state(v, u, eta, b, b_dot=0.0, regime="inflow", dt_next=1e-3):
 def series_of(rows):
     """A RunSeries of hand-written rows; columns a row omits are 0.0."""
     series = RunSeries()
-    for row in rows:
-        series.append(**{**dict.fromkeys(STORED_COLUMNS, 0.0), **row})
+    series.extend(**{name: [row.get(name, 0.0) for row in rows]
+                     for name in STORED_COLUMNS})
     return series
 
 

@@ -15,17 +15,20 @@ from pistonflow import (
     PistonState,
     SimState,
     StateError,
-    coefficients_alpha_beta,
+)
+from pistonflow.coords import coefficients_alpha_beta
+from pistonflow.core import pressure_q
+from pistonflow.solver import (
+    CflViolation,
+    VacuumError,
     eta_update_inflow,
     eta_update_outflow_picard,
     momentum_piston_solve,
-    pressure_q,
     step,
     switch_regime,
     transport_update,
     whole_horizon_fixed_point,
 )
-from pistonflow.solver import CflViolation, VacuumError
 
 
 def closed_schedule(t_end=10.0):
