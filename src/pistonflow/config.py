@@ -20,6 +20,7 @@ import dataclasses
 import io
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -99,6 +100,12 @@ def _finite_numbers(arg: str, keypath: str) -> List[float]:
     return values
 
 
+def _require_finite_span(keypath: str, preset: str, *extremes: float) -> None:
+    """Reject a preset whose arithmetic overflows over its span (inf, inf*0)."""
+    if not all(math.isfinite(x) for x in extremes):
+        raise ConfigError(f"{keypath}: preset {preset!r} is not finite over its span")
+
+
 def _preset_function(
     preset: str, span: tuple, keypath: str, base_dir: str
 ) -> Callable[[float], float]:
@@ -113,6 +120,7 @@ def _preset_function(
             return lambda t, _v=value: _v + 0.0 * t
         if name == "ramp":
             v0, v1 = _finite_numbers(arg, keypath)
+            _require_finite_span(keypath, preset, (v1 - v0) * width)
             return lambda t, _a=v0, _b=v1: _a + (_b - _a) * (t - lo) / width
         if name == "sinusoid":
             parts = _finite_numbers(arg, keypath)
@@ -122,6 +130,9 @@ def _preset_function(
             else:
                 mean, amp, cycles, phase = parts
             omega = 2.0 * math.pi * cycles / width
+            _require_finite_span(
+                keypath, preset, omega * width + abs(phase), abs(mean) + abs(amp)
+            )
             return lambda t, _m=mean, _a=amp, _w=omega, _p=phase: (
                 _m + _a * np.sin(_w * (t - lo) + _p)
             )
@@ -129,7 +140,14 @@ def _preset_function(
             path = arg.strip()
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
-            table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "no data"
+                table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+            if table.shape[0] == 0 or table.shape[1] < 2:
+                raise ConfigError(
+                    f"{keypath}: tabulated file must hold rows of t,value, "
+                    f"got {table.shape[0]} rows of {table.shape[1]} columns"
+                )
             ts, vs = table[:, 0], table[:, 1]
             if not np.all(np.isfinite(table)):
                 raise ConfigError(f"{keypath}: tabulated values must be finite")
@@ -191,8 +209,10 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
     u0 = _preset_function(str(init["u0"]), (0.0, b0), "[initial] u0", base_dir)
     xs = np.linspace(0.0, b0, 513)
     rho_samples = np.array([float(rho0(x)) for x in xs])
-    if np.any(rho_samples <= 0.0):
-        raise ConfigError("[initial] rho0: density must be strictly positive")
+    if not np.all((rho_samples > 0.0) & np.isfinite(rho_samples)):
+        raise ConfigError(
+            "[initial] rho0: density must be strictly positive and finite"
+        )
     initial = InitialConditions(
         rho0=rho0,
         u0=u0,

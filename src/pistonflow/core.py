@@ -145,9 +145,10 @@ class BoundarySchedule:
 
     ``u_in`` and ``rho_in`` are required whenever the inflow phase is nonempty
     (t_star > 0), ``u_out`` whenever the outflow phase is nonempty
-    (t_star < t_end).  Sign constraints are checked by dense sampling:
-    rho_in must be strictly positive and u_out nonpositive; u_in may touch
-    zero (a closed pipe), which only triggers a warning.
+    (t_star < t_end).  Finiteness and sign are checked by dense sampling:
+    every sample must be finite, rho_in strictly positive and u_out
+    nonpositive; u_in may touch zero (a closed pipe), which only triggers a
+    warning.
     """
 
     t_star: float
@@ -170,6 +171,9 @@ class BoundarySchedule:
             ts = np.linspace(0.0, self.t_star, _SCHEDULE_SAMPLES)
             uin = np.array([float(self.u_in(t)) for t in ts])
             rin = np.array([float(self.rho_in(t)) for t in ts])
+            for name, samples in (("u_in", uin), ("rho_in", rin)):
+                if not np.isfinite(samples).all():
+                    raise ValueError(f"{name} must be finite on [0, t_star)")
             if np.any(uin < 0.0):
                 raise ValueError("u_in must be nonnegative on [0, t_star)")
             if np.any(uin == 0.0):
@@ -185,6 +189,8 @@ class BoundarySchedule:
                 raise ValueError("u_out is required when t_star < t_end")
             ts = np.linspace(self.t_star, self.t_end, _SCHEDULE_SAMPLES)
             uout = np.array([float(self.u_out(t)) for t in ts])
+            if not np.isfinite(uout).all():
+                raise ValueError("u_out must be finite on [t_star, t_end]")
             if np.any(uout > 0.0):
                 raise ValueError("u_out must be nonpositive on [t_star, t_end]")
 

@@ -6,8 +6,11 @@ field and the piston are advanced together in a single theta-implicit
 tridiagonal solve whose first row is the piston equation.  The total mass
 eta evolves by the boundary flux: prescribed during inflow, resolved by a
 within-step Picard iteration during outflow where the boundary density is
-part of the unknown.  The whole-horizon fixed point resolves the outflow
-flux instead over a frozen mass trajectory, with the same split step.
+part of the unknown.  The iteration updates only the boundary cell, in
+scalars and with the transport's float operations; the step then transports
+every cell once with the converged flux.  The whole-horizon fixed point
+resolves the outflow flux instead over a frozen mass trajectory, with the
+same split step.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from typing import List, Literal, Optional, Tuple
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
+# coefficients_alpha_beta and pressure_q stay importable from this module
+# although it does not call them: perfbench/tracer.py wraps them here
 from .coords import CoeffPair, coefficients_alpha_beta
 from .core import BoundarySchedule, GridState, Params, PistonState, pressure_q
 from .core import _z_edges
@@ -222,7 +227,7 @@ def _momentum(v: np.ndarray, u: np.ndarray, alpha: float, beta: np.ndarray,
     dz = 1.0 / n
     mu, K, l = params.mu, params.stiffness_K, params.damping_l
 
-    q = pressure_q(v, params.gamma)
+    q = v ** (-params.gamma)  # v > 0: checked by _transport or GridState
     lam = mu * alpha * alpha / (dz * dz)
 
     work = np.zeros((4, n + 1))
@@ -328,6 +333,24 @@ def eta_update_inflow(
     return eta + dt * eta_dot, eta_dot
 
 
+def _outflow_boundary_volume(v_b: float, grad: float, du: float, z_left: float,
+                             dz: float, eta_mid: float, ratio: float, dt: float
+                             ) -> float:
+    """``_transport(...)[-1]`` for eta_dot <= 0, in scalars.
+
+    With the wind from the piston side, cell n-1 sees only cells n-2, n-1 and
+    edges n-1, n: ``grad`` = (v[-1] - v[-2]) / dz, ``du`` = u[-1] - u[-2],
+    ``z_left`` = z_edges[-2] and ``ratio`` = eta_dot / eta_mid.  The float
+    operations are those of ``coefficients_alpha_beta`` and ``_transport``,
+    in the same order, so the result is bit-identical.
+    """
+    alpha = -1.0 / eta_mid
+    beta_l = -z_left * ratio
+    beta_b = -1.0 * ratio  # z_edges[-1] == 1.0
+    div = alpha * du / dz
+    return v_b + dt * (div - 0.5 * (beta_l + beta_b) * grad)
+
+
 def eta_update_outflow_picard(
     grid: GridState,
     t: float,
@@ -340,8 +363,13 @@ def eta_update_outflow_picard(
     """Resolve the implicit outflow mass flux eta_dot = u_out / v(boundary).
 
     The boundary specific volume reacts to the coefficients, which depend on
-    eta_dot; the loop iterates flux -> coefficients -> provisional transport
-    -> boundary value -> flux until the flux change drops below picard_tol.
+    eta_dot; the loop iterates flux -> boundary-cell transport -> boundary
+    value -> flux until the flux change drops below picard_tol.  With
+    eta_dot <= 0 the wind blows from the piston side, so the new boundary
+    value depends only on the last two cells and edges: each iteration
+    computes it in scalars, with the float operations of the full transport,
+    and checks the CFL bound and that cell.  The other cells are checked once,
+    by the step's full transport with the converged flux.
     ``initial_guess`` (typically the previous step's converged flux)
     warm-starts the loop; ``residual_history``, when given, collects the
     |change| per iteration.  Raises StepRejected on non-convergence (the
@@ -351,10 +379,19 @@ def eta_update_outflow_picard(
     tm = t + 0.5 * dt
     u_out = float(schedule.u_out(tm))
     v, u, eta = grid.v, grid.u, grid.eta
-    z_edges = grid.z_edges
-    eta_dot = u_out / v[-1] if initial_guess is None else float(initial_guess)
+    n = v.size
+    v_b = float(v[-1])
+    eta_dot = u_out / v_b if initial_guess is None else float(initial_guess)
     if eta_dot > 0.0:
         eta_dot = 0.0  # an inflow-phase hint is not admissible here
+
+    # loop invariants of the update of cell n-1
+    dz = 1.0 / n
+    z_left = float(grid.z_edges[-2])
+    du = float(u[-1]) - float(u[-2])
+    grad = (v_b - float(v[-2])) / dz
+    cfl = cfg.cfl_advection
+    cfl_limit = cfl * dz * (1.0 + 1e-12)
 
     def _depletion_check(eta_new: float, eta_dot_used: float) -> None:
         if eta_new <= ETA_MIN:
@@ -367,11 +404,26 @@ def eta_update_outflow_picard(
     for iteration in range(1, cfg.picard_max_iter + 1):
         eta_new = eta + dt * eta_dot
         _depletion_check(eta_new, eta_dot)
-        coeffs = coefficients_alpha_beta(0.5 * (eta + eta_new), eta_dot, z_edges)
-        provisional = _transport(
-            v, u, coeffs.alpha, coeffs.beta, eta_dot, dt, cfg.cfl_advection
-        )
-        eta_dot_next = u_out / provisional[-1]
+        eta_mid = 0.5 * (eta + eta_new)
+        if not eta_mid > 0.0:
+            raise ValueError(f"domain collapse: eta must be positive, got {eta_mid}")
+        ratio = eta_dot / eta_mid
+        max_beta = abs(ratio)  # |beta| is largest at z = 1
+        if max_beta * dt > cfl_limit:
+            raise CflViolation(
+                f"advective CFL violated: max|beta|*dt={max_beta * dt:.3e} "
+                f"> {cfl}*dz={cfl * dz:.3e}"
+            )
+        v_new_b = _outflow_boundary_volume(v_b, grad, du, z_left, dz, eta_mid,
+                                           ratio, dt)
+        if not v_new_b > 0.0:
+            if v_new_b <= 0.0:
+                raise VacuumError(
+                    f"specific volume nonpositive after transport update "
+                    f"(cell {n - 1}, v={v_new_b:.3e})"
+                )
+            raise ValueError("specific volume must be positive in every cell")
+        eta_dot_next = u_out / v_new_b
         change = abs(eta_dot_next - eta_dot)
         if residual_history is not None:
             residual_history.append(change)
@@ -416,11 +468,13 @@ def _split_step(v: np.ndarray, u: np.ndarray, eta: float, b: float, b_dot: float
                 ) -> Tuple[np.ndarray, np.ndarray, float, float]:
     """The operator-split step on plain arrays, mass update already decided.
 
-    Coefficients at the midpoint mass, transport of v, then the monolithic
-    momentum/piston solve on the advected volumes: (v, u, b, b_dot) after it.
+    Coefficients at the midpoint mass (as ``coefficients_alpha_beta`` forms
+    them), transport of v, then the monolithic momentum/piston solve on the
+    advected volumes: (v, u, b, b_dot) after it.
     """
-    coeffs = coefficients_alpha_beta(0.5 * (eta + eta_new), eta_dot, _z_edges(v.size))
-    alpha, beta = coeffs.alpha, coeffs.beta
+    eta_mid = 0.5 * (eta + eta_new)
+    alpha = -1.0 / eta_mid
+    beta = -_z_edges(v.size) * (eta_dot / eta_mid)
     v_new = _transport(v, u, alpha, beta, eta_dot, dt, cfg.cfl_advection, v_open)
     u_new, b_new, b_dot_new = _momentum(v_new, u, alpha, beta, eta_dot, b, b_dot,
                                         params, bc_velocity, dt, cfg.theta_viscous)

@@ -142,6 +142,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="rho0"):
             parse_config("[initial]\nrho0 = constant:-2.0\n")
 
+    @pytest.mark.parametrize("content", ["0.0\n1.0\n", ""],
+                             ids=["one-column", "no-rows"])
+    def test_tabulated_preset_without_t_value_rows_rejected(self, tmp_path, content):
+        table = tmp_path / "uout.csv"
+        table.write_text(content)
+        text = f"[schedule]\nt_star = 0.0\nt_end = 1.0\nu_out = tabulated:{table}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^\[schedule\] u_out: .*t,value"):
+                parse_config(text)
+
 
 class TestRunCommand:
     @pytest.mark.filterwarnings("ignore:u_in touches zero")
@@ -242,6 +253,10 @@ class TestRunCommand:
         ("params", "mu", "inf"),
         ("schedule", "u_out", "constant:nan"),
         ("schedule", "t_end", "inf"),
+        # finite arguments whose derived constants overflow
+        ("initial", "rho0", "sinusoid:1,0.5,1e308"),
+        ("initial", "rho0", "ramp:-1e308,1e308"),
+        ("schedule", "u_out", "sinusoid:-0.1,0.05,1e308"),
     ])
     def test_non_finite_value_names_key_and_exits_four(
         self, tmp_path, capsys, section, key, value
@@ -250,7 +265,9 @@ class TestRunCommand:
         ini.write_text(f"[numerics]\nn_cells = 8\n[{section}]\n{key} = {value}\n")
         code = main(["run", "--config", str(ini), "--out", str(tmp_path / "out")])
         assert code == 4
-        assert f"[{section}] {key}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: [{section}] {key}:")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("section,key,value", [
         ("initial", "b1", "1e300"),  # b_dot ** 2 of the initial record

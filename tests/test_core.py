@@ -172,6 +172,12 @@ INF = float("inf")
     lambda: _sim_state(t=NAN),
     lambda: _sim_state(t=INF),
     lambda: _sim_state(t=-INF),
+    lambda: BoundarySchedule(t_star=1.0, t_end=1.0, u_in=lambda t: NAN,
+                             rho_in=lambda t: 1.0),
+    lambda: BoundarySchedule(t_star=1.0, t_end=1.0, u_in=lambda t: 1.0,
+                             rho_in=lambda t: INF),
+    lambda: BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: NAN),
+    lambda: BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -INF),
 ], ids=[
     "Params.b_rest=nan", "Params.mu=inf", "Params.stiffness_K=inf",
     "Params.gamma=inf", "PistonState.b=inf", "PistonState.b_dot=nan",
@@ -179,6 +185,8 @@ INF = float("inf")
     "NumericsConfig.dt_initial=inf", "NumericsConfig.dt_growth=inf",
     "NumericsConfig.picard_tol=inf", "SimState.dt_next=inf",
     "SimState.t=nan", "SimState.t=inf", "SimState.t=-inf",
+    "BoundarySchedule.u_in=nan", "BoundarySchedule.rho_in=inf",
+    "BoundarySchedule.u_out=nan", "BoundarySchedule.u_out=-inf",
 ])
 def test_constructors_reject_non_finite_values(build):
     with pytest.raises(ValueError, match="finite"):

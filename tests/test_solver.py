@@ -17,10 +17,16 @@ from pistonflow import (
     StateError,
 )
 from pistonflow.coords import coefficients_alpha_beta
-from pistonflow.core import pressure_q
+from pistonflow.core import _z_edges, pressure_q
 from pistonflow.solver import (
+    ETA_MIN,
     CflViolation,
+    PicardNonConvergence,
+    StepRejected,
     VacuumError,
+    _outflow_boundary_volume,
+    _transport,
+    dt_stability_bound,
     eta_update_inflow,
     eta_update_outflow_picard,
     momentum_piston_solve,
@@ -53,6 +59,88 @@ def equilibrium_state(n=16, v_bar=1.0, eta=2.0, params=None):
         t=0.0, grid=grid, piston=PistonState(b=b, b_dot=0.0),
         regime="inflow", dt_next=1e-3,
     ), p
+
+
+def vector_picard(grid, t, dt, schedule, cfg, residual_history=None,
+                  initial_guess=None):
+    """Reference: the outflow Picard loop as it was before it went scalar.
+
+    Each iteration builds the coefficients, transports every cell and reads
+    only the boundary cell.
+    """
+    tm = t + 0.5 * dt
+    u_out = float(schedule.u_out(tm))
+    v, u, eta = grid.v, grid.u, grid.eta
+    z_edges = grid.z_edges
+    eta_dot = u_out / v[-1] if initial_guess is None else float(initial_guess)
+    if eta_dot > 0.0:
+        eta_dot = 0.0
+
+    def _depletion_check(eta_new, eta_dot_used):
+        if eta_new <= ETA_MIN:
+            frac = (eta - ETA_MIN) / max(eta - eta_new, 1e-300)
+            raise MassDepletionEvent(
+                f"total mass exhausted (eta_dot={eta_dot_used:.3e})",
+                fraction=min(max(frac, 0.0), 1.0),
+            )
+
+    for iteration in range(1, cfg.picard_max_iter + 1):
+        eta_new = eta + dt * eta_dot
+        _depletion_check(eta_new, eta_dot)
+        coeffs = coefficients_alpha_beta(0.5 * (eta + eta_new), eta_dot, z_edges)
+        provisional = _transport(
+            v, u, coeffs.alpha, coeffs.beta, eta_dot, dt, cfg.cfl_advection
+        )
+        eta_dot_next = u_out / provisional[-1]
+        change = abs(eta_dot_next - eta_dot)
+        if residual_history is not None:
+            residual_history.append(change)
+        if change < cfg.picard_tol:
+            eta_new = eta + dt * eta_dot_next
+            _depletion_check(eta_new, eta_dot_next)
+            return eta_new, eta_dot_next, iteration
+        eta_dot = eta_dot_next
+    raise PicardNonConvergence(
+        f"outflow Picard iteration did not converge in {cfg.picard_max_iter} "
+        f"iterations at t={t:.6g} (dt={dt:.3e})"
+    )
+
+
+def picard_outcome(picard, *args, **kwargs):
+    """Returns, residual history or exception of one call, floats as bits."""
+    history = []
+    try:
+        result = picard(*args, residual_history=history, **kwargs)
+    except (ValueError, StepRejected, MassDepletionEvent) as exc:
+        fraction = getattr(exc, "fraction", None)
+        return type(exc), str(exc), None if fraction is None else fraction.hex()
+    eta_new, eta_dot, iters = result
+    return (float(eta_new).hex(), float(eta_dot).hex(), iters,
+            [float(r).hex() for r in history])
+
+
+def random_outflow_case(n, flux, seed):
+    """A seeded random outflow state (v, u, eta), a step dt and a flux.
+
+    ``flux`` is "zero", "negative-zero", "small", or "near-cfl" (|beta| at
+    the open end 0.999 of the advective CFL bound 0.5 * dz / dt).
+    """
+    rng = np.random.default_rng([n, seed])
+    dz = 1.0 / n
+    v = 0.5 + rng.random(n)
+    u = 0.1 * rng.standard_normal(n + 1)
+    eta = 0.5 + 1.5 * rng.random()
+    dt = 0.2 * dz * (0.5 + rng.random())
+    if flux == "near-cfl":
+        ratio = -0.999 * 0.5 * dz / dt
+        eta_dot = ratio * eta / (1.0 - 0.5 * dt * ratio)
+    else:
+        eta_dot = {"zero": 0.0, "negative-zero": -0.0, "small": -1e-3 * eta}[flux]
+    return v, u, eta, dt, eta_dot
+
+
+OUTFLOW_SIZES = [4, 48, 1024, 4096]
+OUTFLOW_FLUXES = ["zero", "negative-zero", "small", "near-cfl"]
 
 
 class TestTransport:
@@ -274,6 +362,73 @@ class TestEtaOutflowPicard:
         with pytest.raises(MassDepletionEvent):
             eta_update_outflow_picard(g, 0.0, 1e-2, s, NumericsConfig(n_cells=8))
 
+    @pytest.mark.parametrize("flux", OUTFLOW_FLUXES)
+    @pytest.mark.parametrize("n", OUTFLOW_SIZES)
+    def test_boundary_volume_is_the_transports_last_cell(self, n, flux):
+        dz = 1.0 / n
+        z = _z_edges(n)
+        for seed in range(64):
+            v, u, eta, dt, eta_dot = random_outflow_case(n, flux, seed)
+            eta_mid = 0.5 * (eta + (eta + dt * eta_dot))
+            c = coefficients_alpha_beta(eta_mid, eta_dot, z)
+            expected = _transport(v, u, c.alpha, c.beta, eta_dot, dt, 0.5)[-1]
+            got = _outflow_boundary_volume(
+                float(v[-1]), (float(v[-1]) - float(v[-2])) / dz,
+                float(u[-1]) - float(u[-2]), float(z[-2]), dz, eta_mid,
+                eta_dot / eta_mid, dt,
+            )
+            assert got.hex() == float(expected).hex()
+
+    @pytest.mark.parametrize("flux", OUTFLOW_FLUXES)
+    @pytest.mark.parametrize("n", OUTFLOW_SIZES)
+    def test_matches_the_vector_reference(self, n, flux):
+        cfg = NumericsConfig(n_cells=n)
+        for seed in range(4):
+            v, u, eta, dt, eta_dot = random_outflow_case(n, flux, seed)
+            grid = GridState(v=v, u=u, eta=eta)
+            u_out = eta_dot * float(v[-1])
+            s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: u_out)
+            for guess in (None, eta_dot, 0.9 * eta_dot - 1e-6, 0.5):
+                for step_dt in (dt, 0.5 * dt):
+                    expected = picard_outcome(vector_picard, grid, 0.0, step_dt, s,
+                                              cfg, initial_guess=guess)
+                    got = picard_outcome(eta_update_outflow_picard, grid, 0.0,
+                                         step_dt, s, cfg, initial_guess=guess)
+                    assert got == expected, (seed, guess, step_dt)
+
+    def test_cfl_violation_rejects_with_the_same_message(self):
+        g = uniform_grid(8, v=1.0, u=-1.0)
+        s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -1.0)
+        cfg = NumericsConfig(n_cells=8)
+        got = picard_outcome(eta_update_outflow_picard, g, 0.0, 0.1, s, cfg)
+        assert got[0] is CflViolation
+        assert got == picard_outcome(vector_picard, g, 0.0, 0.1, s, cfg)
+
+    def test_boundary_vacuum_rejects_naming_the_last_cell(self):
+        # a strong expansion at the open end empties the boundary cell
+        n = 8
+        u = np.zeros(n + 1)
+        u[-1] = 10.0
+        g = GridState(v=np.full(n, 0.5), u=u, eta=1.0)
+        s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -0.1)
+        cfg = NumericsConfig(n_cells=n)
+        got = picard_outcome(eta_update_outflow_picard, g, 0.0, 1e-2, s, cfg)
+        assert got[0] is VacuumError
+        assert "(cell 7, v=-" in got[1]
+        assert got == picard_outcome(vector_picard, g, 0.0, 1e-2, s, cfg)
+
+    def test_nan_flux_is_a_domain_collapse(self):
+        # u_out is NaN only at the step midpoint, which the schedule's
+        # sampling misses
+        s = BoundarySchedule(t_star=0.0, t_end=1.0,
+                             u_out=lambda t: float("nan") if t == 5e-3 else -0.1)
+        g = uniform_grid(8)
+        cfg = NumericsConfig(n_cells=8)
+        got = picard_outcome(eta_update_outflow_picard, g, 0.0, 1e-2, s, cfg)
+        assert got == (ValueError, "domain collapse: eta must be positive, got nan",
+                       None)
+        assert got == picard_outcome(vector_picard, g, 0.0, 1e-2, s, cfg)
+
 
 class TestStep:
     def test_equilibrium_is_discrete_steady_state(self):
@@ -324,6 +479,32 @@ class TestStep:
             state = step(state, s, p, cfg)
         assert abs(state.piston.b_dot) < 1e-6
         assert state.piston.b == pytest.approx(root, abs=2e-3)
+
+    def test_interior_vacuum_under_the_converged_flux_halves_dt(self):
+        # a jump of u across cell 3 empties it at the stability bound; the
+        # Picard iteration reads only the boundary cell and converges, so
+        # the step's full transport is what rejects the step
+        n = 8
+        v = np.ones(n)
+        v[3] = 0.5
+        u = np.zeros(n + 1)
+        u[4:] = 3.0
+        grid = GridState(v=v, u=u, eta=1.0)
+        p = Params(mu=1.0, gamma=1.4, stiffness_K=1.0, damping_l=0.5, b_rest=0.0)
+        s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -0.2)
+        cfg = NumericsConfig(n_cells=n)
+        state = SimState(t=0.0, grid=grid, piston=PistonState(b=1.0, b_dot=0.0),
+                         regime="outflow", dt_next=1.0)
+        dt = dt_stability_bound(grid, -0.2, p, cfg)
+        eta_new, eta_dot, _ = eta_update_outflow_picard(grid, 0.0, dt, s, cfg)
+        c = coefficients_alpha_beta(0.5 * (1.0 + eta_new), eta_dot, grid.z_edges)
+        with pytest.raises(VacuumError, match=r"\(cell 3,"):
+            _transport(v, u, c.alpha, c.beta, eta_dot, dt, cfg.cfl_advection)
+        stats = {}
+        new = step(state, s, p, cfg, stats)
+        assert stats["rejections"] == 1
+        assert new.t == 0.5 * dt
+        assert new.grid.v.min() > 0.0
 
     def test_velocity_continuity_every_step(self):
         state, p = equilibrium_state(n=16)
