@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -68,19 +68,20 @@ def render_summary_json(result: RunResult) -> str:
     return json.dumps(result.summary, indent=2, sort_keys=True) + "\n"
 
 
-def _write_outputs(result: RunResult, config: ScenarioConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    series_path = os.path.join(out_dir, config.outputs.series)
-    with open(series_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_series_csv(result))
-    summary_path = os.path.join(out_dir, config.outputs.summary)
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_summary_json(result))
+def _output_files(result: RunResult, config: ScenarioConfig) -> Iterator[tuple]:
+    """Every output file of a run, one ``(name, text)`` at a time."""
+    yield config.outputs.series, render_series_csv(result)
+    yield config.outputs.summary, render_summary_json(result)
     for index, state in enumerate(result.snapshots):
-        path = os.path.join(out_dir, f"snapshot_{index:06d}.json")
+        yield f"snapshot_{index:06d}.json", json.dumps(snapshot_of(state)) + "\n"
+
+
+def _write_outputs(files: Iterable[tuple], out_dir: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files:
+        path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(snapshot_of(state), fh)
-            fh.write("\n")
+            fh.write(text)
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
@@ -124,10 +125,10 @@ def cmd_run(args) -> int:
     result = simulate_scenario(config)
     if args.seed_free:
         again = simulate_scenario(config)
-        if render_series_csv(result) != render_series_csv(again):
+        if list(_output_files(result, config)) != list(_output_files(again, config)):
             print("determinism check failed: reruns differ", file=sys.stderr)
             return EXIT_FAILURE
-    _write_outputs(result, config, config.outputs.directory)
+    _write_outputs(_output_files(result, config), config.outputs.directory)
     summary = result.summary
     print(f"status: {summary['status']}")
     if result.event_time is not None:

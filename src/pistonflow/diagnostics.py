@@ -4,7 +4,10 @@ All quadratures follow one convention: midpoint in the mass coordinate,
 trapezoid in time.  The functions here are pure and take one state.  The
 run driver's record (``run._Record``) computes the same values for a block
 of states at once, with the same elementwise operations in the same order,
-and appends them to a columnar ``RunSeries``.
+and appends them to a columnar ``RunSeries``.  The record takes the
+references of ``volume_bound_ratio`` and of the G exponent (v*, eta* and
+the piston and velocity terms at T*) from the first outflow state it
+records, the anchor row.
 """
 
 from __future__ import annotations

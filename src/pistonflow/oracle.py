@@ -51,7 +51,6 @@ class ManufacturedCase:
     b: Callable
     b_dot: Callable
     eta: Callable
-    eta_dot: Callable
     f_v: Callable
     f_u: Callable
     f_b: Callable
@@ -167,35 +166,31 @@ def check_case(case: ManufacturedCase, n_points: int = 100,
     return worst
 
 
-def equilibrium_case(params: Optional[Params] = None, v_bar: float = 1.0,
-                     eta0: float = 1.0) -> ManufacturedCase:
-    """Stationary state: uniform v, zero velocity, piston balancing pressure."""
-    p = params or Params()
-    q_bar = v_bar ** (-p.gamma)
-    b_eq = p.b_rest + q_bar / p.stiffness_K
+def equilibrium_case() -> ManufacturedCase:
+    """Stationary state: uniform v = 1, zero velocity, piston balancing pressure."""
+    p = Params()
+    b_eq = p.b_rest + 1.0 / p.stiffness_K  # q(1) = 1
     return ManufacturedCase(
         name="equilibrium",
         params=p,
-        v=lambda t, z: v_bar + 0.0 * (t + z),
+        v=lambda t, z: 1.0 + 0.0 * (t + z),
         u=lambda t, z: 0.0 * (t + z),
         b=lambda t: b_eq + 0.0 * t,
         b_dot=lambda t: 0.0 * t,
-        eta=lambda t: eta0 + 0.0 * t,
-        eta_dot=lambda t: 0.0 * t,
+        eta=lambda t: 1.0 + 0.0 * t,
         f_v=lambda t, z: 0.0 * (t + z),
         f_u=lambda t, z: 0.0 * (t + z),
         f_b=lambda t: 0.0 * t,
     )
 
 
-def smooth_case(params: Optional[Params] = None) -> ManufacturedCase:
+def smooth_case() -> ManufacturedCase:
     """Standard smooth case: shrinking mass, oscillating piston, sheared v.
 
     v = 1 + c_v t z,  u = a sin(t) (1 - z) + c_u t z (1 - z),
     b = b0 + a (1 - cos t),  eta = eta0 - s t.
     """
-    p = params or Params(mu=0.5, gamma=1.4, stiffness_K=1.0, damping_l=0.5,
-                         b_rest=1.0)
+    p = Params(mu=0.5, gamma=1.4, stiffness_K=1.0, damping_l=0.5, b_rest=1.0)
     eta0, s = 1.0, 0.2
     c_v, a, c_u = 0.1, -0.1, 0.1
     b0 = 1.0
@@ -242,20 +237,20 @@ def smooth_case(params: Optional[Params] = None) -> ManufacturedCase:
         b=lambda t: b0 + a * (1.0 - np.cos(t)),
         b_dot=lambda t: a * np.sin(t),
         eta=lambda t: eta0 - s * t,
-        eta_dot=lambda t: -s + 0.0 * t,
         f_v=f_v,
         f_u=f_u,
         f_b=f_b,
     )
 
 
-def diffusion_case(mu: float = 1.0) -> ManufacturedCase:
+def diffusion_case() -> ManufacturedCase:
     """Pure-diffusion sub-case: constant v, decaying sine velocity, pinned ends.
 
     With eta = 1 and v = 1 the momentum equation reduces to u_t = mu u_zz and
     the exact solution sin(pi z) exp(-mu pi^2 t) needs no momentum forcing;
     the transport forcing keeps v constant against the velocity divergence.
     """
+    mu = 1.0
     p = Params(mu=mu, gamma=1.4, stiffness_K=1.0, damping_l=0.5, b_rest=1.0)
     b0 = p.b_rest + 1.0 / p.stiffness_K  # q(1) = 1 balances the spring
 
@@ -276,7 +271,6 @@ def diffusion_case(mu: float = 1.0) -> ManufacturedCase:
         b=lambda t: b0 + 0.0 * t,
         b_dot=lambda t: 0.0 * t,
         eta=lambda t: 1.0 + 0.0 * t,
-        eta_dot=lambda t: 0.0 * t,
         f_v=f_v,
         f_u=lambda t, z: 0.0 * (t + z),
         f_b=f_b,
@@ -353,10 +347,6 @@ class ConvergenceResult:
     rows: List[Tuple[int, float, float, float]] = field(default_factory=list)
     order_v: float = 0.0
     order_u: float = 0.0
-
-    @property
-    def order(self) -> float:
-        return min(self.order_v, self.order_u)
 
     def as_csv(self) -> str:
         def pair_order(i: int) -> str:

@@ -7,8 +7,10 @@ record (``_Record``) works in blocks: a row's scalar terms are computed when
 its state is accepted, so a monitor that overflows ends the run at that
 row; its ``v``/``u`` are staged, and the array monitors of a whole block of
 rows are computed at once, with the bits of the per-state functions in
-``diagnostics``.  The driver switches regime exactly at t_star and converts
-terminal solver events into a ``RunResult`` with the documented exit codes.
+``diagnostics``.  The record anchors the G exponent and the 1/v bound on the
+first outflow state it is given.  The driver switches regime exactly at
+t_star and converts terminal solver events into a ``RunResult`` with the
+documented exit codes.
 Its snapshots are the ``SimState``s themselves; ``snapshot_of``/
 ``state_from_snapshot`` give the JSON.
 """
@@ -23,8 +25,9 @@ import numpy as np
 
 from .coords import EulerianField, lagrangian_init_from_eulerian
 from .core import BoundarySchedule, GridState, Params, PistonState, pressure_q
-# energy, total_mass_eulerian and volume_bound_ratio stay importable from this
-# module although it does not call them: perfbench/tracer.py wraps them here
+# energy, total_mass_eulerian, velocity_l2 and volume_bound_ratio stay
+# importable from this module although it does not call them:
+# perfbench/tracer.py wraps them here
 from .diagnostics import (
     TOL_BOUND,
     RunSeries,
@@ -96,7 +99,6 @@ def state_from_snapshot(data: dict) -> SimState:
 @dataclass
 class RunResult:
     series: RunSeries
-    final_state: Optional[SimState]
     status: str
     exit_code: int
     event_time: Optional[float]
@@ -127,53 +129,6 @@ def build_initial_state(
         t=0.0, grid=grid, piston=piston, regime=regime, dt_next=cfg.dt_initial
     )
     return state, correction
-
-
-@dataclass
-class _GTracker:
-    """Outflow-start references of the exponential bound, and its running max.
-
-    Anchored at T*: ``v_star``/``eta_star`` for the 1/v bound, and the
-    piston and velocity terms of the G exponent, whose spring trapezoid is
-    kept incrementally so each step costs O(1); equivalent to recomputing the
-    exponent's trapezoid over the full recorded outflow series.
-    """
-
-    v_star: np.ndarray
-    eta_star: float
-    ref_b: float
-    ref_b_dot: float
-    ref_u_l2: float
-    prev_t: float
-    prev_spring: float
-    spring_integral: float = 0.0
-    ratio_max: float = 0.0
-
-    @classmethod
-    def start(cls, state: SimState, params: Params) -> "_GTracker":
-        return cls(
-            v_star=state.grid.v,
-            eta_star=state.grid.eta,
-            ref_b=state.piston.b,
-            ref_b_dot=state.piston.b_dot,
-            ref_u_l2=velocity_l2(state),
-            prev_t=state.t,
-            prev_spring=params.stiffness_K * (state.piston.b - params.b_rest),
-        )
-
-    def advance(self, state: SimState, u_l2: float, params: Params) -> float:
-        spring = params.stiffness_K * (state.piston.b - params.b_rest)
-        self.spring_integral += 0.5 * (self.prev_spring + spring) * (
-            state.t - self.prev_t
-        )
-        self.prev_t = state.t
-        self.prev_spring = spring
-        return (
-            state.piston.b_dot - self.ref_b_dot
-            + params.damping_l * (state.piston.b - self.ref_b)
-            + self.spring_integral
-            + math.sqrt(self.eta_star) * (u_l2 + self.ref_u_l2)
-        ) / params.mu
 
 
 def _eulerian_mass_rows(v: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -219,30 +174,38 @@ class _Record:
     exp(G)) in the order in which they can raise ``OverflowError``, then
     stages the state's ``v`` and ``u``; a state that raises is never staged,
     so a run ends at the first row whose monitors overflow.
-    ``flush`` computes the array monitors of all staged rows with axis-1
-    operations: the elementwise operations of ``reconstruct_eulerian`` plus
-    ``np.trapezoid``, ``energy`` and ``volume_bound_ratio``, in the same
-    order, so every value has the bits of the per-state functions.  It runs
-    when the block is full and once at run end.
+    The first outflow state ``add`` is given anchors the bound (in a run, the
+    initial outflow state or the one switched at t_star): its ``v``/``eta``
+    are v*/eta* of the 1/v bound, its piston values and ``u_l2`` the
+    references of the G exponent, whose spring trapezoid is kept
+    incrementally.  ``flush`` computes the array monitors of all staged rows
+    with axis-1 operations: the elementwise operations of
+    ``reconstruct_eulerian`` plus ``np.trapezoid``, ``energy`` and
+    ``volume_bound_ratio``, in the same order, so every value has the bits of
+    the per-state functions; the outflow rows' bound ratio is folded into
+    ``ratio_max``.  It runs when the block is full and once at run end.
     """
 
-    def __init__(
-        self, series: RunSeries, schedule: BoundarySchedule, params: Params,
-        grid: GridState,
-    ) -> None:
+    #: the scalar terms ``add`` stages per row: ``RunSeries`` columns, then
+    #: ``exp_g`` and the two piston energies, which ``flush`` folds in
+    _TERMS = ("t", "b", "b_dot", "eta", "regime", "G_exponent", "u_l2",
+              "v_boundary", "damping_rate", "outflux_pressure_rate",
+              "boundary_work_rate", "exp_g", "piston_energy", "spring_energy")
+
+    def __init__(self, series: RunSeries, schedule: BoundarySchedule,
+                 params: Params, grid: GridState) -> None:
         rows = _block_rows(grid.n_cells)
         self._series = series
-        self.g_tracker: Optional[_GTracker] = None
         self._schedule = schedule
         self._params = params
         self._z_centers = grid.z_centers
         self._v = np.empty((rows, grid.n_cells))
         self._u = np.empty((rows, grid.n_cells + 1))
         self._staged: List[tuple] = []
-
-    def anchor(self, state: SimState) -> None:
-        """Anchor the G exponent and the 1/v bound at the outflow start."""
-        self.g_tracker = _GTracker.start(state, self._params)
+        self.ratio_max = 0.0
+        # (v*, eta*, b, b_dot, u_l2) at the outflow start, None until then
+        self._anchor: Optional[tuple] = None
+        self._t_prev = self._spring_prev = self._spring_integral = 0.0
 
     def add(self, state: SimState) -> None:
         """Stage the row of ``state``; flush when the block is full."""
@@ -264,8 +227,21 @@ class _Record:
         u_l2 = math.sqrt(np.sum(u_c * u_c) * grid.dy)  # velocity_l2
 
         g_value = exp_g = math.nan
-        if state.regime == "outflow":  # anchor() has started the tracker
-            g_value = self.g_tracker.advance(state, u_l2, params)
+        if state.regime == "outflow":
+            spring = params.stiffness_K * (piston.b - params.b_rest)
+            if self._anchor is None:
+                self._anchor = (grid.v, grid.eta, piston.b, piston.b_dot, u_l2)
+                self._t_prev, self._spring_prev = state.t, spring
+            _, eta_star, b_star, b_dot_star, u_l2_star = self._anchor
+            self._spring_integral += (
+                0.5 * (self._spring_prev + spring) * (state.t - self._t_prev))
+            self._t_prev, self._spring_prev = state.t, spring
+            g_value = (
+                piston.b_dot - b_dot_star
+                + params.damping_l * (piston.b - b_star)
+                + self._spring_integral
+                + math.sqrt(eta_star) * (u_l2 + u_l2_star)
+            ) / params.mu
             exp_g = math.exp(g_value)
         piston_energy = 0.5 * piston.b_dot ** 2
         spring_energy = 0.5 * params.stiffness_K * (piston.b - params.b_rest) ** 2
@@ -278,8 +254,8 @@ class _Record:
         self._u[row] = grid.u
         self._staged.append((
             state.t, piston.b, piston.b_dot, grid.eta, state.regime, g_value,
-            exp_g, u_l2, v_b, piston_energy, spring_energy, damping_rate,
-            outflux_rate, work_rate,
+            u_l2, v_b, damping_rate, outflux_rate, work_rate, exp_g,
+            piston_energy, spring_energy,
         ))
         if row + 1 == len(self._v):
             self.flush()
@@ -289,49 +265,39 @@ class _Record:
         rows = len(self._staged)
         if not rows:
             return
-        (t, b, b_dot, eta, regime, g_value, exp_g, u_l2, v_b, piston_energy,
-         spring_energy, damping_rate, outflux_rate, work_rate) = zip(*self._staged)
+        terms = dict(zip(self._TERMS, zip(*self._staged)))
         params = self._params
         v, u = self._v[:rows], self._u[:rows]
-        eta_col = np.array(eta)
-        dy = eta_col / v.shape[1]  # GridState.dy per row
-        total_energy = (
-            _fluid_energy_rows(v, u, dy, params.gamma)
-            + np.array(piston_energy) + np.array(spring_energy)
-        )
-        outflow = np.array(regime) == "outflow"
+        eta = np.array(terms["eta"])
+        dy = eta / v.shape[1]  # GridState.dy per row
+        total_energy = (_fluid_energy_rows(v, u, dy, params.gamma)
+                        + np.array(terms.pop("piston_energy"))
+                        + np.array(terms.pop("spring_energy")))
+        exp_g = np.array(terms.pop("exp_g"))
+        outflow = np.array(terms["regime"]) == "outflow"
         if outflow.any():
-            self._fold_bound_ratio(v[outflow], eta_col[outflow],
-                                   np.array(exp_g)[outflow])
+            # volume_bound_ratio of the outflow rows: the reference profile
+            # at the mass labels of the current cells
+            v_star, eta_star = self._anchor[:2]
+            z_centers_star = (np.arange(v_star.size) + 0.5) / v_star.size
+            z_matched = self._z_centers * (eta[outflow] / eta_star)[:, None]
+            v_ref = np.interp(z_matched.ravel(), z_centers_star, v_star)
+            ratio = (1.0 / v[outflow]) / (
+                (1.0 / v_ref.reshape(z_matched.shape)) * exp_g[outflow][:, None]
+            )
+            # Python's max in row order, as a running max over single rows
+            self.ratio_max = max(self.ratio_max, *np.max(ratio, axis=1).tolist())
 
         self._series.extend(
-            t=t, b=b, b_dot=b_dot, eta=eta,
+            **terms,
             mass_eulerian=_eulerian_mass_rows(v, dy).tolist(),
             energy=total_energy.tolist(),
             min_v=np.min(v, axis=1).tolist(),
             max_v=np.max(v, axis=1).tolist(),
-            G_exponent=g_value, regime=regime, u_l2=u_l2,
             b_recon=(np.sum(v, axis=1) * dy).tolist(),
-            v_boundary=v_b,
-            dissipation_rate=_dissipation_rows(v, u, eta_col, dy, params.mu).tolist(),
-            damping_rate=damping_rate,
-            outflux_pressure_rate=outflux_rate,
-            boundary_work_rate=work_rate,
+            dissipation_rate=_dissipation_rows(v, u, eta, dy, params.mu).tolist(),
         )
         self._staged.clear()
-
-    def _fold_bound_ratio(self, v: np.ndarray, eta: np.ndarray,
-                          exp_g: np.ndarray) -> None:
-        """``volume_bound_ratio`` of outflow rows, folded into ``ratio_max``."""
-        tracker = self.g_tracker
-        n_star = tracker.v_star.size
-        z_centers_star = (np.arange(n_star) + 0.5) / n_star
-        # reference profile at the mass labels of the current cells
-        z_matched = self._z_centers * (eta / tracker.eta_star)[:, None]
-        v_ref = np.interp(z_matched.ravel(), z_centers_star, tracker.v_star)
-        ratio = (1.0 / v) / ((1.0 / v_ref.reshape(v.shape)) * exp_g[:, None])
-        # Python's max in row order, as a running max over single rows
-        tracker.ratio_max = max(tracker.ratio_max, *np.max(ratio, axis=1).tolist())
 
 
 def run_simulation(
@@ -355,19 +321,18 @@ def run_simulation(
     failure_message: Optional[str] = None
     step_index = 0
     stats: dict = {}
-    eps = 1e-12 * max(1.0, schedule.t_end)
+    # phase-boundary tolerances, each on the scale of its own instant
+    eps_star = 1e-12 * max(1.0, schedule.t_star)
+    eps_end = 1e-12 * max(1.0, schedule.t_end)
     # one scope per run: a monitor that overflows reads inf instead of
     # printing a numpy warning; the run still ends on the errors below
     with np.errstate(over="ignore"):
         try:
-            if state.regime == "outflow":
-                record.anchor(state)
             record.add(state)
-            while state.t < schedule.t_end - eps:
-                if state.regime == "inflow" and state.t >= schedule.t_star - eps:
+            while state.t < schedule.t_end - eps_end:
+                if state.regime == "inflow" and state.t >= schedule.t_star - eps_star:
                     state = switch_regime(state, schedule)
-                    record.anchor(state)
-                    # zero-duration anchor record: outflow reference for the
+                    # zero-duration anchor row: outflow reference for the
                     # exponential bound and the regime flip of the boundary rates
                     record.add(state)
                     continue
@@ -391,15 +356,13 @@ def run_simulation(
         # the rows staged before t_end, the event or the failure
         record.flush()
 
-    g_tracker = record.g_tracker
     summary = _summarize(
         series, schedule, exit_code, event_time, initial_bdot_correction,
-        g_ratio_max=g_tracker.ratio_max if g_tracker is not None else 0.0,
+        g_ratio_max=record.ratio_max,
         failure_message=failure_message, stats=stats,
     )
     return RunResult(
         series=series,
-        final_state=state,
         status=_STATUS_BY_CODE[exit_code],
         exit_code=exit_code,
         event_time=event_time,

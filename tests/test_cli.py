@@ -233,6 +233,21 @@ class TestRunCommand:
         assert summary["event_vs_bound_ok"] is True
         assert summary["event_time"] >= summary["contact_time_lower_bound"]
 
+    @pytest.mark.parametrize("t_end", ["1e11", "1e12"])
+    def test_huge_t_end_keeps_the_inflow_phase(self, tmp_path, t_end):
+        # the regime switch is tested against t_star's own scale, not t_end's
+        ini = tmp_path / "long.ini"
+        ini.write_text(f"[numerics]\nn_cells = 8\n[schedule]\nt_end = {t_end}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(ini), "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "depleted"
+        rows = np.loadtxt((out / "series.csv"), delimiter=",", skiprows=1)
+        t_col, g_col = rows[:, 0], rows[:, CSV_COLUMNS.index("G_exponent")]
+        assert np.all(np.isnan(g_col[t_col < 0.5]))  # inflow up to t_star
+        assert np.count_nonzero(t_col == 0.5) == 2  # inflow row, then anchor
+        assert np.all(np.isfinite(g_col[t_col > 0.5]))
+
     def test_seed_free_flag(self, tmp_path):
         ini = tmp_path / "of.ini"
         ini.write_text(OUTFLOW_INI)
@@ -240,6 +255,25 @@ class TestRunCommand:
         code = main(["run", "--config", str(ini), "--out", str(out),
                      "--seed-free"])
         assert code == 0
+
+    def test_seed_free_flag_compares_the_summary(self, tmp_path, capsys,
+                                                 monkeypatch):
+        results = []
+
+        def simulate(config):
+            result = simulate_scenario(config)
+            if results:  # the rerun: the same series, another summary
+                result.summary["steps"] += 1
+            results.append(result)
+            return result
+
+        monkeypatch.setattr("pistonflow.cli.simulate_scenario", simulate)
+        ini = tmp_path / "of.ini"
+        ini.write_text(OUTFLOW_INI)
+        code = main(["run", "--config", str(ini), "--out", str(tmp_path / "out"),
+                     "--seed-free"])
+        assert code == 4 and len(results) == 2
+        assert "determinism check failed" in capsys.readouterr().err
 
     def test_bad_config_exit_four(self, tmp_path):
         ini = tmp_path / "bad.ini"

@@ -41,7 +41,6 @@ class TestResidualGuards:
                 b=lambda t: 1.0 + 0.0 * t,
                 b_dot=lambda t: 0.0 * t,             # but db/dt = 0
                 eta=lambda t: 1.0 + 0.0 * t,
-                eta_dot=lambda t: 0.0 * t,
                 f_v=lambda t, z: 0.0 * (t + z),
                 f_u=lambda t, z: 0.0 * (t + z),
                 f_b=lambda t: 0.0 * t,

@@ -9,7 +9,8 @@ from pistonflow import GridState, PistonState, SimState
 from pistonflow.diagnostics import CSV_COLUMNS
 from pistonflow.run import snapshot_of
 
-README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def listed_after(text: str) -> list:
@@ -29,3 +30,12 @@ def test_snapshot_fields_match_snapshot_keys():
                      piston=PistonState(b=1.0), regime="inflow")
     fields = listed_after("`snapshot_NNNNNN.json`: restartable states with fields")
     assert fields == list(snapshot_of(state))
+
+
+def test_layout_names_every_module():
+    block = re.search(r"## Layout\s+```\n(.*?)```", README, re.S)
+    assert block, "README has no Layout block"
+    listed = re.findall(r"^  (\w+\.py) ", block.group(1), re.M)
+    modules = sorted(path.name for path in (ROOT / "src" / "pistonflow").glob("*.py")
+                     if path.name != "__init__.py")
+    assert sorted(listed) == modules

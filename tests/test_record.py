@@ -3,9 +3,12 @@
 ``run._Record`` stages accepted states and computes the array monitors of a
 block of rows with axis-1 operations.  These tests pin that every value has
 the bits of the public per-state functions, whatever the block size and
-however many rows the last, partial block holds, and that a row whose
-scalar terms overflow is never recorded.
+however many rows the last, partial block holds, that a row whose
+scalar terms overflow is never recorded, and that the first outflow row
+anchors the G exponent and the 1/v bound.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -45,12 +48,10 @@ def random_states(n, rows, seed, regime, t0):
     return states
 
 
-def record(states, anchor=None):
-    """Record ``states`` (anchored at ``anchor`` for outflow) and flush."""
+def record(states):
+    """Record ``states`` and flush."""
     series = RunSeries()
     rec = run._Record(series, SCHEDULE, PARAMS, states[0].grid)
-    if anchor is not None:
-        rec.anchor(anchor)
     for state in states:
         rec.add(state)
     rec.flush()
@@ -67,8 +68,9 @@ def test_block_monitors_match_per_state_functions_bit_for_bit(n):
     block = run._block_rows(n)
     rows = 2 * block + 1  # two full blocks and a partial one
     anchor = random_states(n, 1, seed=n, regime="outflow", t0=SCHEDULE.t_star)[0]
-    states = random_states(n, rows, seed=n + 1, regime="outflow", t0=anchor.t)
-    series, rec = record(states, anchor)
+    states = [anchor] + random_states(n, rows - 1, seed=n + 1, regime="outflow",
+                                      t0=anchor.t)
+    series, rec = record(states)
     assert len(series) == rows and rows % block != 0
 
     g = series.column("G_exponent")
@@ -89,7 +91,7 @@ def test_block_monitors_match_per_state_functions_bit_for_bit(n):
         assert series.column(name).tolist() == values, name
     ratios = [volume_bound_ratio(s, anchor.grid.v, anchor.grid.eta, float(gi))
               for s, gi in zip(states, g)]
-    assert rec.g_tracker.ratio_max == max(ratios)
+    assert rec.ratio_max == max(ratios)
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
@@ -117,15 +119,38 @@ def test_overflowing_row_is_never_recorded(regime):
     series = RunSeries()
     rec = run._Record(series, SCHEDULE, PARAMS, anchor.grid)
     with np.errstate(over="ignore"):  # as in run_simulation
-        if regime == "outflow":
-            rec.anchor(anchor)
-        for state in states:
+        for state in [anchor] + states:
             rec.add(state)
         with pytest.raises(OverflowError, match="out of range"):  # b_dot ** 2
             rec.add(bad)
         rec.flush()
 
-    reference, _ = record(states, anchor if regime == "outflow" else None)
-    assert len(series) == half
+    reference, _ = record([anchor] + states)
+    assert len(series) == half + 1
     assert column_bytes(series) == column_bytes(reference)
-    assert series.column("regime").tolist() == [regime] * half
+    assert series.column("regime").tolist() == [regime] * (half + 1)
+
+
+def test_first_outflow_row_anchors_the_bound():
+    n = 48
+    half = run._block_rows(n) // 2
+    inflow = random_states(n, half, seed=7, regime="inflow", t0=0.0)
+    outflow = random_states(n, 2 * half, seed=8, regime="outflow",
+                            t0=SCHEDULE.t_star)
+    series, rec = record(inflow + outflow)
+
+    anchor = outflow[0]
+    g = series.column("G_exponent")
+    assert np.isnan(g[:half]).all()
+    # the anchor row has no piston or spring term, only the velocity term
+    assert g[half] == (2 * math.sqrt(anchor.grid.eta) * velocity_l2(anchor)
+                       / PARAMS.mu)
+    ratios = [volume_bound_ratio(s, anchor.grid.v, anchor.grid.eta, float(gi))
+              for s, gi in zip(outflow, g[half:])]
+    assert rec.ratio_max == max(ratios)
+
+
+def test_pure_inflow_record_has_no_bound_ratio():
+    series, rec = record(random_states(48, 10, seed=9, regime="inflow", t0=0.0))
+    assert np.isnan(series.column("G_exponent")).all()
+    assert rec.ratio_max == 0.0
