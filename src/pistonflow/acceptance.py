@@ -7,7 +7,9 @@ CLI prints them.  Scenario runs shared between criteria are cached.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import math
 import os
 import tempfile
@@ -345,7 +347,9 @@ def criterion_10_determinism() -> CriterionCheck:
         blobs = []
         for sub in ("a", "b"):
             out = os.path.join(tmp, sub)
-            code = main(["run", "--config", ini, "--out", out])
+            # the runs' status lines would interleave with the verify report
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", "--config", ini, "--out", out])
             with open(os.path.join(out, "series.csv"), "rb") as fh:
                 blobs.append(fh.read())
         identical = blobs[0] == blobs[1] and code == 0
@@ -356,32 +360,22 @@ def criterion_10_determinism() -> CriterionCheck:
     )
 
 
-ALL_CRITERIA: List[Callable[[], CriterionCheck]] = [
-    criterion_1_equilibrium,
-    criterion_2_mass,
-    criterion_3_b_consistency,
-    criterion_4_energy,
-    criterion_5_manufactured,
-    criterion_6_fixed_point,
-    criterion_7_contact_bound,
-    criterion_8_volume_bound,
-    criterion_9_picard_robustness,
-    criterion_10_determinism,
-]
-
-
-def suite_equilibrium() -> List[CriterionCheck]:
-    return [criterion_1_equilibrium()]
-
-
-def suite_manufactured() -> List[CriterionCheck]:
-    return [criterion_5_manufactured()]
-
-
-def suite_fixed_point() -> List[CriterionCheck]:
-    return [criterion_6_fixed_point(), criterion_9_picard_robustness()]
-
-
-def suite_budget() -> List[CriterionCheck]:
-    return [criterion_2_mass(), criterion_3_b_consistency(),
-            criterion_4_energy()]
+#: the criteria each ``pistonflow verify`` suite runs, in order
+SUITES: Dict[str, List[Callable[[], CriterionCheck]]] = {
+    "equilibrium": [criterion_1_equilibrium],
+    "manufactured": [criterion_5_manufactured],
+    "fixed_point": [criterion_6_fixed_point, criterion_9_picard_robustness],
+    "budget": [criterion_2_mass, criterion_3_b_consistency, criterion_4_energy],
+    "all": [
+        criterion_1_equilibrium,
+        criterion_2_mass,
+        criterion_3_b_consistency,
+        criterion_4_energy,
+        criterion_5_manufactured,
+        criterion_6_fixed_point,
+        criterion_7_contact_bound,
+        criterion_8_volume_bound,
+        criterion_9_picard_robustness,
+        criterion_10_determinism,
+    ],
+}

@@ -188,20 +188,12 @@ def cmd_estimate_contact(args) -> int:
 def cmd_verify(args) -> int:
     from . import acceptance
 
-    suites = {
-        "equilibrium": acceptance.suite_equilibrium,
-        "manufactured": acceptance.suite_manufactured,
-        "fixed_point": acceptance.suite_fixed_point,
-        "budget": acceptance.suite_budget,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
     failed: List[str] = []
-    for name in names:
-        for check in suites[name]():
-            status = "PASS" if check.passed else "FAIL"
-            print(f"[{status}] {check.name}: {check.detail}")
-            if not check.passed:
-                failed.append(check.name)
+    for criterion in acceptance.SUITES[args.suite]:
+        check = criterion()
+        print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
+        if not check.passed:
+            failed.append(check.name)
     if failed:
         print(f"failed criteria: {', '.join(failed)}", file=sys.stderr)
         return 1

@@ -370,7 +370,6 @@ def convergence_order(
     t_end: float = 0.5,
     dt0: Optional[float] = None,
     theta: float = 1.0,
-    csv_path: Optional[str] = None,
 ) -> ConvergenceResult:
     """Self-convergence study against the exact fields.
 
@@ -389,26 +388,19 @@ def convergence_order(
         dt = dt0 * n0 / n
         ev, eu = run_forced(case, n, dt, t_end, theta=theta)
         result.rows.append((n, dt, ev, eu))
-    evs = np.array([r[2] for r in result.rows])
-    eus = np.array([r[3] for r in result.rows])
     logn = np.log2([r[0] for r in result.rows])
-    if np.all(evs < 1e-14):
-        result.order_v = math.inf  # field reproduced exactly (frozen or trivial)
-    else:
-        if np.any(np.diff(evs) >= 0.0):
+
+    def fitted_order(column: int, name: str) -> float:
+        errs = np.array([r[column] for r in result.rows])
+        if np.all(errs < 1e-14):
+            return math.inf  # field reproduced exactly (frozen or trivial)
+        if np.any(np.diff(errs) >= 0.0):
             table = "\n".join(str(r) for r in result.rows)
-            raise RuntimeError(f"non-monotone convergence errors (v):\n{table}")
-        result.order_v = float(-np.polyfit(logn, np.log2(evs), 1)[0])
-    if np.all(eus < 1e-14):
-        result.order_u = math.inf
-    else:
-        if np.any(np.diff(eus) >= 0.0):
-            table = "\n".join(str(r) for r in result.rows)
-            raise RuntimeError(f"non-monotone convergence errors (u):\n{table}")
-        result.order_u = float(-np.polyfit(logn, np.log2(eus), 1)[0])
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(result.as_csv())
+            raise RuntimeError(f"non-monotone convergence errors ({name}):\n{table}")
+        return float(-np.polyfit(logn, np.log2(errs), 1)[0])
+
+    result.order_v = fitted_order(2, "v")
+    result.order_u = fitted_order(3, "u")
     return result
 
 

@@ -18,7 +18,7 @@ Its snapshots are the ``SimState``s themselves; ``snapshot_of``/
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -44,8 +44,8 @@ from .solver import (
     NumericsConfig,
     SimState,
     StepRejected,
+    _instant_tol,
     step,
-    switch_regime,
 )
 
 EXIT_COMPLETED = 0
@@ -321,17 +321,16 @@ def run_simulation(
     failure_message: Optional[str] = None
     step_index = 0
     stats: dict = {}
-    # phase-boundary tolerances, each on the scale of its own instant
-    eps_star = 1e-12 * max(1.0, schedule.t_star)
-    eps_end = 1e-12 * max(1.0, schedule.t_end)
+    t_switch = schedule.t_star - _instant_tol(schedule.t_star)
+    t_stop = schedule.t_end - _instant_tol(schedule.t_end)
     # one scope per run: a monitor that overflows reads inf instead of
     # printing a numpy warning; the run still ends on the errors below
     with np.errstate(over="ignore"):
         try:
             record.add(state)
-            while state.t < schedule.t_end - eps_end:
-                if state.regime == "inflow" and state.t >= schedule.t_star - eps_star:
-                    state = switch_regime(state, schedule)
+            while state.t < t_stop:
+                if state.regime == "inflow" and state.t >= t_switch:
+                    state = replace(state, regime="outflow")
                     # zero-duration anchor row: outflow reference for the
                     # exponential bound and the regime flip of the boundary rates
                     record.add(state)

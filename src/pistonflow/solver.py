@@ -15,7 +15,6 @@ same split step.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Literal, Optional, Tuple
@@ -89,6 +88,11 @@ B_MIN = 1e-8
 ETA_MIN = 1e-8
 #: halvings of dt allowed before a rejected step becomes a NumericalFailure
 MAX_HALVINGS = 40
+
+
+def _instant_tol(instant: float) -> float:
+    """How close t must come to a phase instant (t_star, t_end) to have reached it."""
+    return 1e-12 * max(1.0, abs(instant))
 
 
 @dataclass(frozen=True)
@@ -324,7 +328,7 @@ def eta_update_inflow(
     eta: float, t: float, dt: float, schedule: BoundarySchedule
 ) -> Tuple[float, float]:
     """Mass gained from prescribed inflow data over one step (midpoint rule)."""
-    if t + dt > schedule.t_star + 1e-9 * max(1.0, schedule.t_star):
+    if t + dt > schedule.t_star + _instant_tol(schedule.t_star):
         raise StateError(
             f"inflow eta update beyond t_star: t+dt={t + dt} > {schedule.t_star}"
         )
@@ -488,22 +492,22 @@ def step(
     cfg: NumericsConfig,
     stats: Optional[dict] = None,
 ) -> SimState:
-    """Advance one adaptive step, never crossing t_star or t_end.
+    """Advance one adaptive step, never crossing the end of the state's phase.
 
-    The step size starts from ``state.dt_next`` capped by the stability
-    bound, halves on rejection (CFL violation, vacuum, Picard failure), and
-    the accepted value grows by ``cfg.dt_growth`` for the next step.  Contact
-    and mass-depletion events propagate with interpolated absolute times.
-    A stability bound below the time resolution 1e-14 * max(1, |horizon|)
-    raises ``NumericalFailure``.  ``stats``, when given, counts rejections
-    and Picard iterations.
+    The phase ends at t_star (inflow) or t_end (outflow); a state within
+    ``_instant_tol`` of it, where the driver stops, raises ``StateError``.
+    dt starts from ``state.dt_next`` capped by the stability bound, halves on
+    rejection (CFL violation, vacuum, Picard failure), and the accepted value
+    grows by ``cfg.dt_growth`` for the next step.  Contact and depletion
+    events propagate with interpolated absolute times.  A stability bound too
+    small to move t, below 1e-14 * max(1, |t|), raises ``NumericalFailure``.
+    ``stats``, when given, counts rejections and Picard iterations.
     """
     grid, t, outflow = state.grid, state.t, state.regime == "outflow"
-    horizon = schedule.t_star if not outflow and t < schedule.t_star else schedule.t_end
-    remaining = horizon - t
-    resolution = 1e-14 * max(1.0, abs(horizon))
-    if remaining <= resolution:
+    horizon = schedule.t_end if outflow else schedule.t_star
+    if t >= horizon - _instant_tol(horizon):
         raise StateError(f"no time left before t={horizon} (state.t={t})")
+    resolution = 1e-14 * max(1.0, abs(t))
 
     flux_est = _boundary_flux_estimate(state, schedule)
     dt_bound = dt_stability_bound(grid, flux_est, params, cfg)
@@ -513,7 +517,7 @@ def step(
             f"resolution {resolution:.3e}"
         )
     dt_base = min(state.dt_next, dt_bound)
-    dt = min(dt_base, remaining)
+    dt = min(dt_base, horizon - t)
     rejected = False
     for _ in range(MAX_HALVINGS + 1):
         try:
@@ -542,11 +546,9 @@ def step(
                 stats["rejections"] = stats.get("rejections", 0) + 1
             dt = 0.5 * dt
             continue
-        if rejected:
-            base = dt  # grow again from the size that actually worked
-        else:
-            # a snap to the phase boundary is not a stability constraint
-            base = dt_base if dt < dt_base else dt
+        # grow again from the size that worked; a snap to the phase end
+        # is not a stability constraint
+        base = dt if rejected else dt_base
         return SimState(
             t=t + dt, grid=GridState(v=v, u=u, eta=eta_new),
             piston=PistonState(b=b, b_dot=b_dot), regime=state.regime,
@@ -555,18 +557,6 @@ def step(
     raise NumericalFailure(
         f"step at t={t:.6g} rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})"
     )
-
-
-def switch_regime(state: SimState, schedule: BoundarySchedule) -> SimState:
-    """Flip inflow -> outflow at t_star; grid, piston and eta carry over."""
-    if state.regime != "inflow":
-        raise StateError("regime switch already performed")
-    tol = max(state.dt_next, 1e-9 * max(1.0, schedule.t_star))
-    if abs(state.t - schedule.t_star) > tol:
-        raise StateError(
-            f"regime switch requested at t={state.t}, but t_star={schedule.t_star}"
-        )
-    return dataclasses.replace(state, regime="outflow")
 
 
 def whole_horizon_fixed_point(

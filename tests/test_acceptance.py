@@ -53,3 +53,10 @@ def test_criterion_9_picard_robustness():
 
 def test_criterion_10_determinism():
     _run(acceptance.criterion_10_determinism)
+
+
+def test_verify_all_runs_every_criterion():
+    criteria = [value for name, value in vars(acceptance).items()
+                if name.startswith("criterion_")]
+    assert len(criteria) == 10
+    assert acceptance.SUITES["all"] == criteria

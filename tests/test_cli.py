@@ -233,7 +233,7 @@ class TestRunCommand:
         assert summary["event_vs_bound_ok"] is True
         assert summary["event_time"] >= summary["contact_time_lower_bound"]
 
-    @pytest.mark.parametrize("t_end", ["1e11", "1e12"])
+    @pytest.mark.parametrize("t_end", ["1e11", "1e12", "1e13"])
     def test_huge_t_end_keeps_the_inflow_phase(self, tmp_path, t_end):
         # the regime switch is tested against t_star's own scale, not t_end's
         ini = tmp_path / "long.ini"
@@ -247,6 +247,18 @@ class TestRunCommand:
         assert np.all(np.isnan(g_col[t_col < 0.5]))  # inflow up to t_star
         assert np.count_nonzero(t_col == 0.5) == 2  # inflow row, then anchor
         assert np.all(np.isfinite(g_col[t_col > 0.5]))
+
+    def test_horizon_does_not_move_a_run_that_ends_before_it(self, tmp_path):
+        # the dt floor is measured against t, so a long horizon alone can
+        # neither fail the outflow steps nor change them
+        series = []
+        for t_end in ("1e3", "1e13"):
+            ini = tmp_path / f"t_end_{t_end}.ini"
+            ini.write_text(f"[numerics]\nn_cells = 8\n[schedule]\nt_end = {t_end}\n")
+            out = tmp_path / t_end
+            assert main(["run", "--config", str(ini), "--out", str(out)]) == 3
+            series.append((out / "series.csv").read_bytes())
+        assert series[0] == series[1]
 
     def test_seed_free_flag(self, tmp_path):
         ini = tmp_path / "of.ini"

@@ -109,11 +109,9 @@ class TestForcedRuns:
         with pytest.raises(ValueError):
             convergence_order(smooth_case(), [32, 64])
 
-    def test_csv_emission(self, tmp_path):
-        path = tmp_path / "table.csv"
-        res = convergence_order(smooth_case(), [16, 32, 64], t_end=0.2,
-                                dt0=0.005, csv_path=str(path))
-        text = path.read_text()
+    def test_csv_emission(self):
+        res = convergence_order(smooth_case(), [16, 32, 64], t_end=0.2, dt0=0.005)
+        text = res.as_csv()
         assert text.splitlines()[0] == "n_cells,dt,err_v,err_u,order"
         assert len(text.splitlines()) == 1 + len(res.rows)
 

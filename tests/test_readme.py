@@ -1,11 +1,14 @@
 """The output formats the README documents agree with the code."""
 
+import argparse
 import re
 from pathlib import Path
 
 import numpy as np
 
 from pistonflow import GridState, PistonState, SimState
+from pistonflow.acceptance import SUITES
+from pistonflow.cli import build_parser
 from pistonflow.diagnostics import CSV_COLUMNS
 from pistonflow.run import snapshot_of
 
@@ -39,3 +42,14 @@ def test_layout_names_every_module():
     modules = sorted(path.name for path in (ROOT / "src" / "pistonflow").glob("*.py")
                      if path.name != "__init__.py")
     assert sorted(listed) == modules
+
+
+def test_verify_usage_names_every_suite():
+    usage = re.search(r"^pistonflow verify \{([^}]*)\}$", README, re.M)
+    assert usage, "README has no `pistonflow verify {...}` usage line"
+    assert usage.group(1).split(",") == list(SUITES)
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    suite = next(action for action in commands.choices["verify"]._actions
+                 if action.dest == "suite")
+    assert list(suite.choices) == list(SUITES)
