@@ -1,7 +1,9 @@
 """Command-line entry point: run scenarios, estimate contact, verify.
 
 Exit status contract (stable interface for sweep scripts):
-0 completed, 2 piston contact, 3 mass depletion, 4 numerical failure.
+0 completed, 2 piston contact, 3 mass depletion, 4 numerical failure, bad
+configuration or a usage error (argparse's own code 2 would read as contact).
+``verify`` exits 0 when every criterion passes and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -200,8 +202,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 4; subparsers are made of this class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FAILURE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pistonflow",
         description="1D viscous gas in a pipe closed by a spring-damper piston",
     )
@@ -223,11 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate-contact",
         help="lower bound on the contact/depletion time vs a coarse run",
     )
-    est_p.add_argument("--config", required=True)
-    est_p.add_argument("--out", help="output directory override")
+    est_p.add_argument("--config", required=True, help="scenario file (INI)")
     est_p.add_argument("--cells", type=int, help="n_cells override")
     est_p.add_argument("--dt", type=float, help="dt_initial override")
-    est_p.set_defaults(func=cmd_estimate_contact, seed_free=False)
+    est_p.set_defaults(func=cmd_estimate_contact, out=None)
 
     ver_p = sub.add_parser("verify", help="run an acceptance suite")
     ver_p.add_argument(

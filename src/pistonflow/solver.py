@@ -15,18 +15,54 @@ same split step.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import List, Literal, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 # coefficients_alpha_beta and pressure_q stay importable from this module
 # although it does not call them: perfbench/tracer.py wraps them here
 from .coords import CoeffPair, coefficients_alpha_beta
 from .core import BoundarySchedule, GridState, Params, PistonState, pressure_q
 from .core import _z_edges
+
+
+def _load_dgtsv():
+    """LAPACK ``dgtsv`` from scipy's compiled ``scipy.linalg._flapack``.
+
+    ``scipy.linalg.lapack.dgtsv`` is this very function object, but importing
+    it that way runs the ``scipy`` and ``scipy.linalg`` packages, most of the
+    start-up time of a run.  The extension is loaded from scipy's install
+    directory instead (``find_spec`` does not run the package) and registered
+    under its own name, so a later ``import scipy.linalg`` reuses it.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("pistonflow needs scipy for LAPACK dgtsv")
+        directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        finder = importlib.machinery.FileFinder(
+            directory,
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"LAPACK extension _flapack not found in {directory}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 class SolverEvent(Exception):

@@ -154,6 +154,11 @@ class TestParseConfig:
                 parse_config(text)
 
 
+def out_option(command, tmp_path):
+    """``--out`` for ``run``; ``estimate-contact`` writes no file and has none."""
+    return ["--out", str(tmp_path / "out")] if command == "run" else []
+
+
 class TestRunCommand:
     @pytest.mark.filterwarnings("ignore:u_in touches zero")
     def test_equilibrium_run_artifacts(self, tmp_path):
@@ -360,12 +365,28 @@ class TestRunCommand:
     ):
         ini = tmp_path / "of.ini"
         ini.write_text(OUTFLOW_INI)
-        code = main([command, "--config", str(ini), "--out", str(tmp_path / "out"),
+        code = main([command, "--config", str(ini), *out_option(command, tmp_path),
                      *extra])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "x.ini", "--cells", "abc"],
+        ["run"],
+        ["verify", "nope"],
+        ["estimate-contact", "--config", "x.ini", "--out", "out"],
+    ], ids=["cells=abc", "no-config", "unknown-suite", "estimate-contact-out"])
+    def test_usage_error_exits_four_not_contact(self, capsys, argv):
+        # argparse's own code 2 would read as piston contact
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        assert "error: " in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "-h"])
+        assert exc.value.code == 0
 
     @pytest.mark.parametrize("command", ["run", "estimate-contact"])
     def test_unexpected_exception_is_one_line_and_exits_four(
@@ -377,7 +398,7 @@ class TestRunCommand:
         monkeypatch.setattr("pistonflow.cli.run_simulation", boom)
         ini = tmp_path / "of.ini"
         ini.write_text(OUTFLOW_INI)
-        code = main([command, "--config", str(ini), "--out", str(tmp_path / "out")])
+        code = main([command, "--config", str(ini), *out_option(command, tmp_path)])
         assert code == 4
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: boom\n"

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pistonflow import GridState, PistonState, SimState
 from pistonflow.acceptance import SUITES
@@ -44,12 +45,25 @@ def test_layout_names_every_module():
     assert sorted(listed) == modules
 
 
+def subparser(command: str) -> argparse.ArgumentParser:
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
 def test_verify_usage_names_every_suite():
     usage = re.search(r"^pistonflow verify \{([^}]*)\}$", README, re.M)
     assert usage, "README has no `pistonflow verify {...}` usage line"
     assert usage.group(1).split(",") == list(SUITES)
-    commands = next(action for action in build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    suite = next(action for action in commands.choices["verify"]._actions
+    suite = next(action for action in subparser("verify")._actions
                  if action.dest == "suite")
     assert list(suite.choices) == list(SUITES)
+
+
+@pytest.mark.parametrize("command", ["run", "estimate-contact"])
+def test_usage_line_names_every_option(command):
+    usage = re.search(rf"^pistonflow {command} (.*)$", README, re.M)
+    assert usage, f"README has no `pistonflow {command} ...` usage line"
+    options = [option for action in subparser(command)._actions
+               for option in action.option_strings if option not in ("-h", "--help")]
+    assert re.findall(r"--[\w-]+", usage.group(1)) == options
