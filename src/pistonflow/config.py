@@ -213,6 +213,12 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
         raise ConfigError(
             "[initial] rho0: density must be strictly positive and finite"
         )
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(0.5 * (rho_samples[1:] + rho_samples[:-1]) * np.diff(xs)))
+    if not math.isfinite(mass):
+        raise ConfigError(
+            f"[initial] rho0: total mass over [0, b0] must be finite, got {mass}"
+        )
     initial = InitialConditions(
         rho0=rho0,
         u0=u0,

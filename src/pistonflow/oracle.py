@@ -7,7 +7,10 @@ whole-horizon fixed point).  The closed-form source terms were derived with
 a computer-algebra step (see tools/derive_forcings.py) and are guarded here
 by a numerical residual check: all derivatives entering the residual are
 recomputed by complex-step and high-order finite differences, so a
-transcription slip in any forcing shows up immediately.
+transcription slip in any forcing shows up immediately.  ``run_forced``
+drives the production split step, ``solver._split_step``, with the
+manufactured sources, so the convergence studies check the step that runs
+use.
 """
 
 from __future__ import annotations
@@ -18,10 +21,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# coefficients_alpha_beta, transport_update and momentum_piston_solve stay
+# importable from this module although it does not call them:
+# perfbench/tracer.py wraps them here
 from .coords import coefficients_alpha_beta
-from .core import GridState, Params, PistonState
+from .core import Params
 from .solver import (
     NumericsConfig,
+    _instant_tol,
+    _split_step,
     momentum_piston_solve,
     transport_update,
 )
@@ -286,7 +294,15 @@ def run_forced(
     t_end: float,
     theta: float = 1.0,
 ) -> Tuple[float, float]:
-    """Integrate the forced system; return max-over-time L2 errors of v and u."""
+    """Integrate the forced system; return max-over-time L2 errors of v and u.
+
+    Each step is ``solver._split_step`` at the exact midpoint mass.  ``n_cells``,
+    ``dt`` and ``theta`` are checked as a ``NumericsConfig``'s.
+    """
+    cfg = NumericsConfig(n_cells=n_cells, dt_initial=dt, cfl_advection=1.0,
+                         theta_viscous=theta)
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     p = case.params
     z_edges = np.linspace(0.0, 1.0, n_cells + 1)
     z_centers = 0.5 * (z_edges[:-1] + z_edges[1:])
@@ -294,51 +310,38 @@ def run_forced(
 
     v = _on_grid(case.v, 0.0, z_centers)
     u = _on_grid(case.u, 0.0, z_edges)
-    u[0] = float(case.b_dot(0.0))
-    piston = PistonState(b=float(case.b(0.0)), b_dot=u[0])
-    grid = GridState(v=v, u=u, eta=float(case.eta(0.0)))
+    u[0] = b_dot = float(case.b_dot(0.0))
+    b = float(case.b(0.0))
 
     err_v = 0.0
     err_u = 0.0
     t = 0.0
-    while t < t_end - 1e-12:
+    while t < t_end - _instant_tol(t_end):
         dt_step = min(dt, t_end - t)
         tm = t + 0.5 * dt_step
         t_new = t + dt_step
         eta_mid = float(case.eta(tm))
+        if not eta_mid > 0.0:
+            raise ValueError(f"domain collapse: eta must be positive, got {eta_mid}")
         eta_dot = _d_complex(case.eta, tm)
-        eta_new = float(case.eta(t_new))
-        coeffs = coefficients_alpha_beta(eta_mid, eta_dot, z_edges)
-        if case.freeze_v:
-            advected = GridState(v=_on_grid(case.v, t_new, z_centers),
-                                 u=grid.u, eta=eta_new)
-        else:
-            v_open = None
-            if eta_dot > 0.0:
-                v_open = complex(case.v(tm, 1.0)).real
-            advected = transport_update(
-                grid, coeffs, dt_step,
-                v_open_end=v_open,
-                source=_on_grid(case.f_v, tm, z_centers),
-            )
+        v_open = complex(case.v(tm, 1.0)).real if eta_dot > 0.0 else None
         pin = float(case.b_dot(t_new)) if case.pin_piston else None
-        u_new, piston = momentum_piston_solve(
-            advected, coeffs, piston, p,
-            bc_open_end_velocity=complex(case.u(t_new, 1.0)).real,
-            dt=dt_step,
-            theta=theta,
+        v, u, b, b_dot = _split_step(
+            v, u, b, b_dot, eta_mid, eta_dot, dt_step, p, cfg,
+            complex(case.u(t_new, 1.0)).real, v_open,
+            source_v=_on_grid(case.f_v, tm, z_centers),
             source_u=_on_grid(case.f_u, tm, z_edges),
             source_piston=float(case.f_b(tm)),
             pin_piston_to=pin,
+            v_frozen=_on_grid(case.v, t_new, z_centers) if case.freeze_v else None,
         )
         if case.pin_piston:
-            piston = PistonState(b=float(case.b(t_new)), b_dot=float(pin))
-        grid = GridState(v=advected.v, u=u_new, eta=eta_new)
+            b, b_dot = float(case.b(t_new)), pin
         t = t_new
         v_exact = _on_grid(case.v, t, z_centers)
         u_exact = _on_grid(case.u, t, z_edges)
-        err_v = max(err_v, float(np.sqrt(np.sum((grid.v - v_exact) ** 2) * dz)))
-        err_u = max(err_u, float(np.sqrt(np.sum((u_new - u_exact) ** 2) * dz)))
+        err_v = max(err_v, float(np.sqrt(np.sum((v - v_exact) ** 2) * dz)))
+        err_u = max(err_u, float(np.sqrt(np.sum((u - u_exact) ** 2) * dz)))
     return err_v, err_u
 
 

@@ -10,7 +10,8 @@ part of the unknown.  The iteration updates only the boundary cell, in
 scalars and with the transport's float operations; the step then transports
 every cell once with the converged flux.  The whole-horizon fixed point
 resolves the outflow flux instead over a frozen mass trajectory, with the
-same split step.
+same split step.  The manufactured-solution oracle (``oracle.run_forced``)
+runs it too, through keyword hooks: sources, a pinned piston, a frozen v.
 """
 
 from __future__ import annotations
@@ -502,22 +503,34 @@ def _boundary_flux_estimate(state: SimState, schedule: BoundarySchedule) -> floa
     return float(schedule.u_out(state.t)) / state.grid.v[-1]
 
 
-def _split_step(v: np.ndarray, u: np.ndarray, eta: float, b: float, b_dot: float,
-                eta_new: float, eta_dot: float, dt: float, params: Params,
+def _split_step(v: np.ndarray, u: np.ndarray, b: float, b_dot: float,
+                eta_mid: float, eta_dot: float, dt: float, params: Params,
                 cfg: NumericsConfig, bc_velocity: float, v_open: Optional[float] = None,
+                *, source_v: Optional[np.ndarray] = None,
+                source_u: Optional[np.ndarray] = None, source_piston: float = 0.0,
+                pin_piston_to: Optional[float] = None,
+                v_frozen: Optional[np.ndarray] = None,
                 ) -> Tuple[np.ndarray, np.ndarray, float, float]:
     """The operator-split step on plain arrays, mass update already decided.
 
-    Coefficients at the midpoint mass (as ``coefficients_alpha_beta`` forms
-    them), transport of v, then the monolithic momentum/piston solve on the
-    advected volumes: (v, u, b, b_dot) after it.
+    Coefficients at the midpoint mass ``eta_mid`` (as ``coefficients_alpha_beta``
+    forms them), transport of v, then the monolithic momentum/piston solve on
+    the advected volumes: (v, u, b, b_dot) after it.  Called by ``step``, the
+    frozen-mass solve and ``oracle.run_forced``, which alone uses the hooks:
+    ``source_v`` (transport), ``source_u`` and ``source_piston`` (momentum and
+    piston rows), ``pin_piston_to`` (Dirichlet piston row) and ``v_frozen``
+    (the new v, in place of the transport).
     """
-    eta_mid = 0.5 * (eta + eta_new)
     alpha = -1.0 / eta_mid
     beta = -_z_edges(v.size) * (eta_dot / eta_mid)
-    v_new = _transport(v, u, alpha, beta, eta_dot, dt, cfg.cfl_advection, v_open)
+    if v_frozen is None:
+        v_new = _transport(v, u, alpha, beta, eta_dot, dt, cfg.cfl_advection, v_open,
+                           source_v)
+    else:
+        v_new = v_frozen
     u_new, b_new, b_dot_new = _momentum(v_new, u, alpha, beta, eta_dot, b, b_dot,
-                                        params, bc_velocity, dt, cfg.theta_viscous)
+                                        params, bc_velocity, dt, cfg.theta_viscous,
+                                        source_u, source_piston, pin_piston_to)
     return v_new, u_new, b_new, b_dot_new
 
 
@@ -571,8 +584,9 @@ def step(
                 v_open = 1.0 / float(schedule.rho_in(t + 0.5 * dt))
                 bc_velocity = float(schedule.u_in(t + dt))
             v, u, b, b_dot = _split_step(
-                grid.v, grid.u, grid.eta, state.piston.b, state.piston.b_dot,
-                eta_new, eta_dot, dt, params, cfg, bc_velocity, v_open,
+                grid.v, grid.u, state.piston.b, state.piston.b_dot,
+                0.5 * (grid.eta + eta_new), eta_dot, dt, params, cfg, bc_velocity,
+                v_open,
             )
         except (ContactEvent, MassDepletionEvent) as event:
             raise type(event)(str(event), time=t + dt * event.fraction) from None
@@ -699,8 +713,8 @@ def _solve_with_frozen_eta(
             )
         bc_velocity = float(schedule.u_out(float(times[i + 1])))
         v, u, b, b_dot = _split_step(
-            v, u, eta, b, b_dot, eta_new, float(slopes[i]), dt, params, cfg,
-            bc_velocity,
+            v, u, b, b_dot, 0.5 * (eta + eta_new), float(slopes[i]), dt, params,
+            cfg, bc_velocity,
         )
         eta = eta_new
         v_boundary[i] = v[-1]

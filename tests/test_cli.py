@@ -307,6 +307,8 @@ class TestRunCommand:
         # finite arguments whose derived constants overflow
         ("initial", "rho0", "sinusoid:1,0.5,1e308"),
         ("initial", "rho0", "ramp:-1e308,1e308"),
+        # finite samples whose total mass overflows
+        ("initial", "rho0", "constant:1e308"),
         ("schedule", "u_out", "sinusoid:-0.1,0.05,1e308"),
     ])
     def test_non_finite_value_names_key_and_exits_four(

@@ -2,10 +2,15 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pistonflow
 from pistonflow.core import Params
 from pistonflow.oracle import (
     ManufacturedCase,
@@ -19,6 +24,7 @@ from pistonflow.oracle import (
     run_forced,
     smooth_case,
 )
+from pistonflow.solver import _split_step
 
 
 class TestResidualGuards:
@@ -104,6 +110,47 @@ class TestForcedRuns:
                                 t_end=0.1, dt0=0.005, theta=0.5)
         assert res.order_u >= 1.8
         assert math.isinf(res.order_v)  # v frozen at the exact profile
+
+    def test_every_step_is_the_production_split_step(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return _split_step(*args, **kwargs)
+
+        monkeypatch.setattr("pistonflow.oracle._split_step", counting)
+        run_forced(equilibrium_case(), 16, 1e-2, 0.2)
+        assert len(calls) == 20
+
+    @pytest.mark.parametrize("n_cells,dt,t_end,theta", [
+        (16, 0.0, 0.2, 1.0),
+        (16, -0.01, 0.2, 1.0),
+        (16, 1e-2, 0.2, 0.0),
+        (16, 1e-2, 0.2, 2.0),
+        (2, 1e-2, 0.2, 1.0),
+        (16, 1e-2, 0.0, 1.0),
+        (16, 1e-2, math.inf, 1.0),
+        (16, 1e-2, math.nan, 1.0),
+    ], ids=["dt=0", "dt<0", "theta=0", "theta=2", "n_cells=2", "t_end=0",
+            "t_end=inf", "t_end=nan"])
+    def test_invalid_arguments_rejected(self, n_cells, dt, t_end, theta):
+        # some of these used to loop forever: run them where a timeout can stop them
+        script = (
+            "import sys, pytest\n"
+            "from pistonflow.oracle import equilibrium_case, run_forced\n"
+            "n, dt, t_end, theta = sys.argv[1:]\n"
+            "with pytest.raises(ValueError):\n"
+            "    run_forced(equilibrium_case(), int(n), float(dt), float(t_end),\n"
+            "               theta=float(theta))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(n_cells), repr(dt), str(t_end),
+             repr(theta)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(pistonflow.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_requires_three_resolutions(self):
         with pytest.raises(ValueError):
