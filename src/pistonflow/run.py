@@ -1,33 +1,35 @@
 """Run orchestration: phase sequencing, diagnostics recording, event handling.
 
-The driver advances the solver step by step and records one row of monitored
-values per accepted step in the columnar ``RunSeries`` (the energy-budget
-rates are stored; their time integrals are derived from the columns).  The
-record (``_Record``) works in blocks: a row's scalar terms are computed when
-its state is accepted, so a monitor that overflows ends the run at that
-row; its ``v``/``u`` are staged, and the array monitors of a whole block of
-rows are computed at once, with the bits of the per-state functions in
-``diagnostics``.  The record anchors the G exponent and the 1/v bound on the
-first outflow state it is given.  The driver switches regime exactly at
-t_star and converts terminal solver events into a ``RunResult`` with the
-documented exit codes.
-Its snapshots are the ``SimState``s themselves; ``snapshot_of``/
-``state_from_snapshot`` give the JSON.
+The driver advances the solver step by step on plain values
+(``solver._advance``, which checks each new state) and records one row of
+monitored values per accepted step in the columnar ``RunSeries`` (the
+energy-budget rates are stored; their time integrals are derived from the
+columns).  The record (``_Record``) takes the same plain values and works in
+blocks: a row's scalar terms are computed when its state is accepted, so a
+monitor that overflows ends the run at that row; its ``v``/``u`` are staged,
+and the array monitors of a whole block of rows are computed at once, with
+the bits of the per-state functions in ``diagnostics``.  The record anchors
+the G exponent and the 1/v bound on the first outflow state it is given.  The
+driver switches regime exactly at t_star and converts terminal solver events
+into a ``RunResult`` with the documented exit codes.
+A ``SimState`` is built only for a state that leaves the loop: for the
+``progress`` callback and for the snapshots, which are those ``SimState``s
+themselves; ``snapshot_of``/``state_from_snapshot`` give the JSON.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .coords import EulerianField, lagrangian_init_from_eulerian
-from .core import BoundarySchedule, GridState, Params, PistonState, pressure_q
-# energy, total_mass_eulerian, velocity_l2 and volume_bound_ratio stay
-# importable from this module although it does not call them:
+# pressure_q, energy, total_mass_eulerian, velocity_l2, volume_bound_ratio
+# and step stay importable from this module although it does not call them:
 # perfbench/tracer.py wraps them here
+from .core import BoundarySchedule, GridState, Params, PistonState, pressure_q
 from .diagnostics import (
     TOL_BOUND,
     RunSeries,
@@ -44,7 +46,9 @@ from .solver import (
     NumericsConfig,
     SimState,
     StepRejected,
+    _advance,
     _instant_tol,
+    _state_of,
     step,
 )
 
@@ -169,7 +173,9 @@ def _block_rows(n_cells: int) -> int:
 class _Record:
     """Diagnostics rows of accepted states, appended to a ``RunSeries`` in blocks.
 
-    ``add`` computes a state's scalar terms at once (boundary values and
+    ``add`` takes a state as plain values (t, v, u, eta, b, b_dot, regime),
+    already checked by ``solver._advance`` or a ``SimState``.  It computes
+    the state's scalar terms at once (boundary values and
     rates, ``u_l2``, the piston and spring energy, the G exponent and
     exp(G)) in the order in which they can raise ``OverflowError``, then
     stages the state's ``v`` and ``u``; a state that raises is never staged,
@@ -199,6 +205,7 @@ class _Record:
         self._schedule = schedule
         self._params = params
         self._z_centers = grid.z_centers
+        self._dz = grid.dz
         self._v = np.empty((rows, grid.n_cells))
         self._u = np.empty((rows, grid.n_cells + 1))
         self._staged: List[tuple] = []
@@ -207,53 +214,55 @@ class _Record:
         self._anchor: Optional[tuple] = None
         self._t_prev = self._spring_prev = self._spring_integral = 0.0
 
-    def add(self, state: SimState) -> None:
-        """Stage the row of ``state``; flush when the block is full."""
-        grid, piston = state.grid, state.piston
+    def add(self, t: float, v: np.ndarray, u: np.ndarray, eta: float, b: float,
+            b_dot: float, regime: str) -> None:
+        """Stage the row of a state given by its values; flush a full block."""
         params, schedule = self._params, self._schedule
         # open-end velocity, specific volume and instantaneous mass flux
-        u_b = float(grid.u[-1])
-        if state.regime == "inflow":
-            rho_b = float(schedule.rho_in(min(state.t, schedule.t_star)))
+        u_b = float(u[-1])
+        if regime == "inflow":
+            rho_b = float(schedule.rho_in(min(t, schedule.t_star)))
             v_b = 1.0 / rho_b
-            flux = float(schedule.u_in(min(state.t, schedule.t_star))) * rho_b
+            flux = float(schedule.u_in(min(t, schedule.t_star))) * rho_b
         else:
-            v_b = float(grid.v[-1])
-            flux = float(schedule.u_out(state.t)) / v_b
-        # sigma = mu u_y / v - q with the boundary cell's mass-coordinate gradient
-        u_y_b = (-1.0 / grid.eta) * ((u_b - float(grid.u[-2])) / grid.dz)
-        sigma_b = params.mu * u_y_b / v_b - float(pressure_q(v_b, params.gamma))
-        u_c = grid.u_centers()
-        u_l2 = math.sqrt(np.sum(u_c * u_c) * grid.dy)  # velocity_l2
+            v_b = float(v[-1])
+            flux = float(schedule.u_out(t)) / v_b
+        # sigma = mu u_y / v - q with the boundary cell's mass-coordinate gradient;
+        # q is pressure_q's ufunc on a 0-d array, v_b > 0 is a checked cell or 1/rho_in
+        u_y_b = (-1.0 / eta) * ((u_b - float(u[-2])) / self._dz)
+        sigma_b = (params.mu * u_y_b / v_b
+                   - float(np.asarray(v_b, dtype=float) ** (-params.gamma)))
+        u_c = 0.5 * (u[:-1] + u[1:])
+        u_l2 = math.sqrt(np.sum(u_c * u_c) * (eta / v.size))  # velocity_l2
 
         g_value = exp_g = math.nan
-        if state.regime == "outflow":
-            spring = params.stiffness_K * (piston.b - params.b_rest)
+        if regime == "outflow":
+            spring = params.stiffness_K * (b - params.b_rest)
             if self._anchor is None:
-                self._anchor = (grid.v, grid.eta, piston.b, piston.b_dot, u_l2)
-                self._t_prev, self._spring_prev = state.t, spring
+                self._anchor = (v, eta, b, b_dot, u_l2)
+                self._t_prev, self._spring_prev = t, spring
             _, eta_star, b_star, b_dot_star, u_l2_star = self._anchor
             self._spring_integral += (
-                0.5 * (self._spring_prev + spring) * (state.t - self._t_prev))
-            self._t_prev, self._spring_prev = state.t, spring
+                0.5 * (self._spring_prev + spring) * (t - self._t_prev))
+            self._t_prev, self._spring_prev = t, spring
             g_value = (
-                piston.b_dot - b_dot_star
-                + params.damping_l * (piston.b - b_star)
+                b_dot - b_dot_star
+                + params.damping_l * (b - b_star)
                 + self._spring_integral
                 + math.sqrt(eta_star) * (u_l2 + u_l2_star)
             ) / params.mu
             exp_g = math.exp(g_value)
-        piston_energy = 0.5 * piston.b_dot ** 2
-        spring_energy = 0.5 * params.stiffness_K * (piston.b - params.b_rest) ** 2
-        damping_rate = params.damping_l * piston.b_dot ** 2
+        piston_energy = 0.5 * b_dot ** 2
+        spring_energy = 0.5 * params.stiffness_K * (b - params.b_rest) ** 2
+        damping_rate = params.damping_l * b_dot ** 2
         outflux_rate = -u_b / (params.gamma - 1.0) * v_b ** (-params.gamma)
         work_rate = flux * 0.5 * u_b * u_b - u_b * sigma_b
 
         row = len(self._staged)
-        self._v[row] = grid.v
-        self._u[row] = grid.u
+        self._v[row] = v
+        self._u[row] = u
         self._staged.append((
-            state.t, piston.b, piston.b_dot, grid.eta, state.regime, g_value,
+            t, b, b_dot, eta, regime, g_value,
             u_l2, v_b, damping_rate, outflux_rate, work_rate, exp_g,
             piston_energy, spring_energy,
         ))
@@ -310,11 +319,17 @@ def run_simulation(
     initial_bdot_correction: float = 0.0,
     progress: Optional[Callable[[SimState], None]] = None,
 ) -> RunResult:
-    """Drive a full run from ``initial`` to t_end or a terminal event."""
-    state = initial
+    """Drive a full run from ``initial`` to t_end or a terminal event.
+
+    The loop advances plain values with ``solver._advance``; a ``SimState``
+    is built only for a state that leaves it, for ``progress`` or a snapshot.
+    """
+    grid, piston = initial.grid, initial.piston
+    t, v, u, eta, b, b_dot = initial.t, grid.v, grid.u, grid.eta, piston.b, piston.b_dot
+    regime, dt_next, hint = initial.regime, initial.dt_next, initial.eta_dot_hint
     series = RunSeries()
-    record = _Record(series, schedule, params, state.grid)
-    snapshots = [state] if snapshot_every > 0 else []
+    record = _Record(series, schedule, params, grid)
+    snapshots = [initial] if snapshot_every > 0 else []
 
     exit_code = EXIT_COMPLETED
     event_time: Optional[float] = None
@@ -323,25 +338,31 @@ def run_simulation(
     stats: dict = {}
     t_switch = schedule.t_star - _instant_tol(schedule.t_star)
     t_stop = schedule.t_end - _instant_tol(schedule.t_end)
-    # one scope per run: a monitor that overflows reads inf instead of
-    # printing a numpy warning; the run still ends on the errors below
-    with np.errstate(over="ignore"):
+    # one scope per run, summary included: a monitor that overflows reads inf,
+    # and a non-finite momentum system in _advance raises its ValueError,
+    # without a numpy warning first; the run still ends on the errors below
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            record.add(state)
-            while state.t < t_stop:
-                if state.regime == "inflow" and state.t >= t_switch:
-                    state = replace(state, regime="outflow")
+            record.add(t, v, u, eta, b, b_dot, regime)
+            while t < t_stop:
+                if regime == "inflow" and t >= t_switch:
+                    regime = "outflow"
                     # zero-duration anchor row: outflow reference for the
                     # exponential bound and the regime flip of the boundary rates
-                    record.add(state)
+                    record.add(t, v, u, eta, b, b_dot, regime)
                     continue
-                state = step(state, schedule, params, cfg, stats)
+                t, v, u, eta, b, b_dot, dt_next, hint = _advance(
+                    t, v, u, eta, b, b_dot, regime == "outflow", dt_next, hint,
+                    schedule, params, cfg, stats)
                 step_index += 1
-                record.add(state)
-                if progress is not None:
-                    progress(state)
-                if snapshot_every > 0 and step_index % snapshot_every == 0:
-                    snapshots.append(state)
+                record.add(t, v, u, eta, b, b_dot, regime)
+                snapshot = snapshot_every > 0 and step_index % snapshot_every == 0
+                if progress is not None or snapshot:
+                    state = _state_of(regime, t, v, u, eta, b, b_dot, dt_next, hint)
+                    if progress is not None:
+                        progress(state)
+                    if snapshot:
+                        snapshots.append(state)
         except ContactEvent as event:
             exit_code, event_time = EXIT_CONTACT, event.time
         except MassDepletionEvent as event:
@@ -351,15 +372,14 @@ def run_simulation(
         except OverflowError as event:
             # a finite state whose monitored values exceed the float range
             exit_code = EXIT_FAILURE
-            failure_message = f"floating-point overflow at t={state.t:.6g}: {event}"
+            failure_message = f"floating-point overflow at t={t:.6g}: {event}"
         # the rows staged before t_end, the event or the failure
         record.flush()
-
-    summary = _summarize(
-        series, schedule, exit_code, event_time, initial_bdot_correction,
-        g_ratio_max=record.ratio_max,
-        failure_message=failure_message, stats=stats,
-    )
+        summary = _summarize(
+            series, schedule, exit_code, event_time, initial_bdot_correction,
+            g_ratio_max=record.ratio_max,
+            failure_message=failure_message, stats=stats,
+        )
     return RunResult(
         series=series,
         status=_STATUS_BY_CODE[exit_code],

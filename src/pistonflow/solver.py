@@ -12,6 +12,13 @@ every cell once with the converged flux.  The whole-horizon fixed point
 resolves the outflow flux instead over a frozen mass trajectory, with the
 same split step.  The manufactured-solution oracle (``oracle.run_forced``)
 runs it too, through keyword hooks: sources, a pinned piston, a frozen v.
+
+``_advance`` is the adaptive step on plain values (t, v, u, eta, b, b_dot,
+dt_next, hint); ``step`` wraps it, and ``run.run_simulation`` loops over it.
+It makes the checks the state constructors make on a stepped state, except
+those the step guarantees, so no state is built or re-validated per step;
+``_state_of`` builds the ``SimState`` of a state that leaves the loop.  The
+outflow Picard loop and the dt bound take plain values too.
 """
 
 from __future__ import annotations
@@ -393,7 +400,9 @@ def _outflow_boundary_volume(v_b: float, grad: float, du: float, z_left: float,
 
 
 def eta_update_outflow_picard(
-    grid: GridState,
+    v: np.ndarray,
+    u: np.ndarray,
+    eta: float,
     t: float,
     dt: float,
     schedule: BoundarySchedule,
@@ -403,7 +412,8 @@ def eta_update_outflow_picard(
 ) -> Tuple[float, float, int]:
     """Resolve the implicit outflow mass flux eta_dot = u_out / v(boundary).
 
-    The boundary specific volume reacts to the coefficients, which depend on
+    ``v``, ``u`` and ``eta`` are the grid samples and total mass at t.  The
+    boundary specific volume reacts to the coefficients, which depend on
     eta_dot; the loop iterates flux -> boundary-cell transport -> boundary
     value -> flux until the flux change drops below picard_tol.  With
     eta_dot <= 0 the wind blows from the piston side, so the new boundary
@@ -413,13 +423,12 @@ def eta_update_outflow_picard(
     by the step's full transport with the converged flux.
     ``initial_guess`` (typically the previous step's converged flux)
     warm-starts the loop; ``residual_history``, when given, collects the
-    |change| per iteration.  Raises StepRejected on non-convergence (the
-    caller halves dt) and MassDepletionEvent if the step would exhaust the
-    total mass.
+    |change| per iteration.  Returns (eta_new, eta_dot, iterations).  Raises
+    StepRejected on non-convergence (the caller halves dt) and
+    MassDepletionEvent if the step would exhaust the total mass.
     """
     tm = t + 0.5 * dt
     u_out = float(schedule.u_out(tm))
-    v, u, eta = grid.v, grid.u, grid.eta
     n = v.size
     v_b = float(v[-1])
     eta_dot = u_out / v_b if initial_guess is None else float(initial_guess)
@@ -428,7 +437,7 @@ def eta_update_outflow_picard(
 
     # loop invariants of the update of cell n-1
     dz = 1.0 / n
-    z_left = float(grid.z_edges[-2])
+    z_left = float(_z_edges(n)[-2])
     du = float(u[-1]) - float(u[-2])
     grad = (v_b - float(v[-2])) / dz
     cfl = cfg.cfl_advection
@@ -480,7 +489,8 @@ def eta_update_outflow_picard(
 
 
 def dt_stability_bound(
-    grid: GridState, eta_dot_estimate: float, params: Params, cfg: NumericsConfig
+    v: np.ndarray, eta: float, eta_dot_estimate: float, params: Params,
+    cfg: NumericsConfig,
 ) -> float:
     """Largest dt allowed by the explicit advective and acoustic terms.
 
@@ -488,19 +498,13 @@ def dt_stability_bound(
     the normalized coordinate is |alpha| * sqrt(gamma) * v**(-(gamma+1)/2);
     the advective speed is at most |eta_dot| / eta.
     """
-    speed = abs(eta_dot_estimate) / grid.eta
+    speed = abs(eta_dot_estimate) / eta
     gamma = params.gamma
     # largest characteristic speed sqrt(-q'(v)) over the grid
-    speed += float(np.sqrt(gamma) * (grid.v ** (-0.5 * (gamma + 1.0))).max()) / grid.eta
+    speed += float(np.sqrt(gamma) * (v ** (-0.5 * (gamma + 1.0))).max()) / eta
     if speed <= 0.0:
         return math.inf
-    return cfg.cfl_advection * grid.dz / speed
-
-
-def _boundary_flux_estimate(state: SimState, schedule: BoundarySchedule) -> float:
-    if state.regime == "inflow":
-        return float(schedule.u_in(state.t)) * float(schedule.rho_in(state.t))
-    return float(schedule.u_out(state.t)) / state.grid.v[-1]
+    return cfg.cfl_advection * (1.0 / v.size) / speed  # GridState.dz
 
 
 def _split_step(v: np.ndarray, u: np.ndarray, b: float, b_dot: float,
@@ -534,6 +538,120 @@ def _split_step(v: np.ndarray, u: np.ndarray, b: float, b_dot: float,
     return v_new, u_new, b_new, b_dot_new
 
 
+def _advance(t: float, v: np.ndarray, u: np.ndarray, eta: float, b: float,
+             b_dot: float, outflow: bool, dt_next: float, hint: Optional[float],
+             schedule: BoundarySchedule, params: Params, cfg: NumericsConfig,
+             stats: Optional[dict] = None,
+             ) -> Tuple[float, np.ndarray, np.ndarray, float, float, float, float,
+                        Optional[float]]:
+    """``step`` on plain values: (t, v, u, eta, b, b_dot, dt_next, hint) after it.
+
+    ``outflow`` names the phase and ``hint`` is ``SimState.eta_dot_hint``.
+    The result gets the checks ``GridState``, ``PistonState`` and ``SimState``
+    make, with their exceptions and messages, except those that hold by
+    construction: the layout, v > 0 (``_transport`` checks it), u[0] == b_dot
+    and the regime.  The returned ``v`` and ``u`` are fresh arrays.  Its
+    callers run it under ``np.errstate(invalid="ignore")``: a non-finite
+    momentum system raises its ``ValueError`` without a numpy warning first.
+    """
+    horizon = schedule.t_end if outflow else schedule.t_star
+    if t >= horizon - _instant_tol(horizon):
+        raise StateError(f"no time left before t={horizon} (state.t={t})")
+    resolution = 1e-14 * max(1.0, abs(t))
+
+    if outflow:
+        flux_est = float(schedule.u_out(t)) / v[-1]
+    else:
+        flux_est = float(schedule.u_in(t)) * float(schedule.rho_in(t))
+    dt_bound = dt_stability_bound(v, eta, flux_est, params, cfg)
+    if dt_bound < resolution:
+        raise NumericalFailure(
+            f"stability bound dt={dt_bound:.3e} at t={t:.6g} is below the time "
+            f"resolution {resolution:.3e}"
+        )
+    dt_base = min(dt_next, dt_bound)
+    dt = min(dt_base, horizon - t)
+    rejected = False
+    for _ in range(MAX_HALVINGS + 1):
+        try:
+            if outflow:
+                eta_new, eta_dot, iters = eta_update_outflow_picard(
+                    v, u, eta, t, dt, schedule, cfg, initial_guess=hint
+                )
+                if stats is not None:
+                    stats["picard_iterations_max"] = max(
+                        stats.get("picard_iterations_max", 0), iters
+                    )
+                v_open, bc_velocity = None, float(schedule.u_out(t + dt))
+            else:
+                eta_new, eta_dot = eta_update_inflow(eta, t, dt, schedule)
+                v_open = 1.0 / float(schedule.rho_in(t + 0.5 * dt))
+                bc_velocity = float(schedule.u_in(t + dt))
+            v_new, u_new, b_new, b_dot_new = _split_step(
+                v, u, b, b_dot, 0.5 * (eta + eta_new), eta_dot, dt, params,
+                cfg, bc_velocity, v_open,
+            )
+        except (ContactEvent, MassDepletionEvent) as event:
+            raise type(event)(str(event), time=t + dt * event.fraction) from None
+        except StepRejected:
+            rejected = True
+            if stats is not None:
+                stats["rejections"] = stats.get("rejections", 0) + 1
+            dt = 0.5 * dt
+            continue
+        break
+    else:
+        raise NumericalFailure(
+            f"step at t={t:.6g} rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})"
+        )
+
+    # the state checks, in the order the constructors make them (the bare
+    # ufunc reductions skip the method wrappers' per-call cost)
+    if not (np.maximum.reduce(v_new) < math.inf
+            and np.logical_and.reduce(np.isfinite(u_new))):
+        raise ValueError("v and u must be finite in every cell and edge")
+    if not 0.0 < eta_new < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta_new}")
+    if not b_new > 0.0:
+        raise ValueError(f"piston position must be positive, got {b_new}")
+    if not (math.isfinite(b_new) and math.isfinite(b_dot_new)):
+        raise ValueError(f"piston state must be finite, got {b_new}, {b_dot_new}")
+    t_new = t + dt
+    if not math.isfinite(t_new):
+        raise ValueError(f"t must be finite, got {t_new}")
+    # grow again from the size that worked; a snap to the phase end
+    # is not a stability constraint
+    dt_next = cfg.dt_growth * (dt if rejected else dt_base)
+    if not 0.0 < dt_next < math.inf:
+        raise ValueError(f"dt_next must be positive and finite, got {dt_next}")
+    hint = eta_dot if outflow else None
+    if hint is not None and not math.isfinite(hint):
+        raise ValueError(f"eta_dot_hint must be finite, got {hint}")
+    return t_new, v_new, u_new, eta_new, b_new, b_dot_new, dt_next, hint
+
+
+def _state_of(regime: Regime, t: float, v: np.ndarray, u: np.ndarray, eta: float,
+              b: float, b_dot: float, dt_next: float,
+              hint: Optional[float]) -> SimState:
+    """The ``SimState`` of values ``_advance`` returned, built without re-checking.
+
+    ``v`` and ``u`` become read-only, as ``GridState``'s copies are.  ``u`` is
+    copied: ``_momentum`` returns a row of its (4, n+1) work array, which a
+    kept state would otherwise hold whole.
+    """
+    u = u.copy()
+    v.flags.writeable = False
+    u.flags.writeable = False
+    grid = object.__new__(GridState)
+    vars(grid).update(v=v, u=u, eta=eta)
+    piston = object.__new__(PistonState)
+    vars(piston).update(b=b, b_dot=b_dot)
+    state = object.__new__(SimState)
+    vars(state).update(t=t, grid=grid, piston=piston, regime=regime,
+                       dt_next=dt_next, eta_dot_hint=hint)
+    return state
+
+
 def step(
     state: SimState,
     schedule: BoundarySchedule,
@@ -550,63 +668,17 @@ def step(
     grows by ``cfg.dt_growth`` for the next step.  Contact and depletion
     events propagate with interpolated absolute times.  A stability bound too
     small to move t, below 1e-14 * max(1, |t|), raises ``NumericalFailure``.
-    ``stats``, when given, counts rejections and Picard iterations.
+    ``stats``, when given, counts rejections and Picard iterations.  A thin
+    wrapper over ``_advance``, which checks the new state.
     """
-    grid, t, outflow = state.grid, state.t, state.regime == "outflow"
-    horizon = schedule.t_end if outflow else schedule.t_star
-    if t >= horizon - _instant_tol(horizon):
-        raise StateError(f"no time left before t={horizon} (state.t={t})")
-    resolution = 1e-14 * max(1.0, abs(t))
-
-    flux_est = _boundary_flux_estimate(state, schedule)
-    dt_bound = dt_stability_bound(grid, flux_est, params, cfg)
-    if dt_bound < resolution:
-        raise NumericalFailure(
-            f"stability bound dt={dt_bound:.3e} at t={t:.6g} is below the time "
-            f"resolution {resolution:.3e}"
+    grid, piston = state.grid, state.piston
+    with np.errstate(invalid="ignore"):
+        values = _advance(
+            state.t, grid.v, grid.u, grid.eta, piston.b, piston.b_dot,
+            state.regime == "outflow", state.dt_next, state.eta_dot_hint,
+            schedule, params, cfg, stats,
         )
-    dt_base = min(state.dt_next, dt_bound)
-    dt = min(dt_base, horizon - t)
-    rejected = False
-    for _ in range(MAX_HALVINGS + 1):
-        try:
-            if outflow:
-                eta_new, eta_dot, iters = eta_update_outflow_picard(
-                    grid, t, dt, schedule, cfg, initial_guess=state.eta_dot_hint
-                )
-                if stats is not None:
-                    stats["picard_iterations_max"] = max(
-                        stats.get("picard_iterations_max", 0), iters
-                    )
-                v_open, bc_velocity = None, float(schedule.u_out(t + dt))
-            else:
-                eta_new, eta_dot = eta_update_inflow(grid.eta, t, dt, schedule)
-                v_open = 1.0 / float(schedule.rho_in(t + 0.5 * dt))
-                bc_velocity = float(schedule.u_in(t + dt))
-            v, u, b, b_dot = _split_step(
-                grid.v, grid.u, state.piston.b, state.piston.b_dot,
-                0.5 * (grid.eta + eta_new), eta_dot, dt, params, cfg, bc_velocity,
-                v_open,
-            )
-        except (ContactEvent, MassDepletionEvent) as event:
-            raise type(event)(str(event), time=t + dt * event.fraction) from None
-        except StepRejected:
-            rejected = True
-            if stats is not None:
-                stats["rejections"] = stats.get("rejections", 0) + 1
-            dt = 0.5 * dt
-            continue
-        # grow again from the size that worked; a snap to the phase end
-        # is not a stability constraint
-        base = dt if rejected else dt_base
-        return SimState(
-            t=t + dt, grid=GridState(v=v, u=u, eta=eta_new),
-            piston=PistonState(b=b, b_dot=b_dot), regime=state.regime,
-            dt_next=cfg.dt_growth * base, eta_dot_hint=eta_dot if outflow else None,
-        )
-    raise NumericalFailure(
-        f"step at t={t:.6g} rejected after {MAX_HALVINGS} halvings (dt={dt:.3e})"
-    )
+    return _state_of(state.regime, *values)
 
 
 def whole_horizon_fixed_point(
@@ -640,7 +712,7 @@ def whole_horizon_fixed_point(
     m = 10.0 * eta0
 
     flux0 = float(schedule.u_out(t0)) / initial.grid.v[-1]
-    dt_cap = dt_stability_bound(initial.grid, flux0, params, cfg)
+    dt_cap = dt_stability_bound(initial.grid.v, eta0, flux0, params, cfg)
     n_steps = max(2, int(round(horizon / cfg.dt_initial)),
                   int(math.ceil(horizon / dt_cap)))
     dt = horizon / n_steps

@@ -355,6 +355,38 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert "stability bound" in summary["failure_message"]
 
+    # in a child process: in this one, pytest turns a numpy RuntimeWarning
+    # into an exception instead of printing it
+    def test_huge_viscosity_prints_one_line(self, tmp_path):
+        ini = tmp_path / "viscous.ini"
+        ini.write_text("[numerics]\nn_cells = 8\n[params]\nmu = 1e308\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pistonflow.cli", "run", "--config", str(ini),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(pistonflow.__file__).parents[1])},
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == ("internal error: ValueError: momentum system: "
+                               "array must not contain infs or NaNs\n")
+
+    def test_huge_outflow_prints_no_numpy_warning(self, tmp_path):
+        ini = tmp_path / "outflow.ini"
+        ini.write_text("[numerics]\nn_cells = 8\n[schedule]\n"
+                       "u_out = constant:-1e308\n")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pistonflow.cli", "run", "--config", str(ini),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(pistonflow.__file__).parents[1])},
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == ""
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "failed"
+        assert "stability bound" in summary["failure_message"]
+
     @pytest.mark.parametrize("command", ["run", "estimate-contact"])
     @pytest.mark.parametrize("extra", [
         ["--cells", "2"],

@@ -48,12 +48,18 @@ def random_states(n, rows, seed, regime, t0):
     return states
 
 
+def add(rec, state):
+    """Stage ``state``'s row, passing its plain values as the run loop does."""
+    grid, piston = state.grid, state.piston
+    rec.add(state.t, grid.v, grid.u, grid.eta, piston.b, piston.b_dot, state.regime)
+
+
 def record(states):
     """Record ``states`` and flush."""
     series = RunSeries()
     rec = run._Record(series, SCHEDULE, PARAMS, states[0].grid)
     for state in states:
-        rec.add(state)
+        add(rec, state)
     rec.flush()
     return series, rec
 
@@ -120,9 +126,9 @@ def test_overflowing_row_is_never_recorded(regime):
     rec = run._Record(series, SCHEDULE, PARAMS, anchor.grid)
     with np.errstate(over="ignore"):  # as in run_simulation
         for state in [anchor] + states:
-            rec.add(state)
+            add(rec, state)
         with pytest.raises(OverflowError, match="out of range"):  # b_dot ** 2
-            rec.add(bad)
+            add(rec, bad)
         rec.flush()
 
     reference, _ = record([anchor] + states)

@@ -60,7 +60,7 @@ def equilibrium_state(n=16, v_bar=1.0, eta=2.0, params=None):
     ), p
 
 
-def vector_picard(grid, t, dt, schedule, cfg, residual_history=None,
+def vector_picard(v, u, eta, t, dt, schedule, cfg, residual_history=None,
                   initial_guess=None):
     """Reference: the outflow Picard loop as it was before it went scalar.
 
@@ -69,8 +69,7 @@ def vector_picard(grid, t, dt, schedule, cfg, residual_history=None,
     """
     tm = t + 0.5 * dt
     u_out = float(schedule.u_out(tm))
-    v, u, eta = grid.v, grid.u, grid.eta
-    z_edges = grid.z_edges
+    z_edges = _z_edges(v.size)
     eta_dot = u_out / v[-1] if initial_guess is None else float(initial_guess)
     if eta_dot > 0.0:
         eta_dot = 0.0
@@ -308,7 +307,7 @@ class TestEtaOutflowPicard:
         g = uniform_grid(16)
         s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: 0.0)
         eta_new, eta_dot, iters = eta_update_outflow_picard(
-            g, 0.0, 1e-2, s, NumericsConfig(n_cells=16)
+            g.v, g.u, g.eta, 0.0, 1e-2, s, NumericsConfig(n_cells=16)
         )
         assert eta_new == 1.0 and eta_dot == 0.0 and iters == 1
 
@@ -317,7 +316,7 @@ class TestEtaOutflowPicard:
         g = uniform_grid(16, v=1.0, u=-0.5)
         s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -0.5)
         eta_new, eta_dot, iters = eta_update_outflow_picard(
-            g, 0.0, 1e-2, s, NumericsConfig(n_cells=16)
+            g.v, g.u, g.eta, 0.0, 1e-2, s, NumericsConfig(n_cells=16)
         )
         assert eta_dot == -0.5
         assert eta_new == pytest.approx(1.0 - 0.5e-2, abs=1e-15)
@@ -333,7 +332,8 @@ class TestEtaOutflowPicard:
         s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -0.4)
         residuals = []
         eta_new, eta_dot, iters = eta_update_outflow_picard(
-            g, 0.0, 5e-3, s, NumericsConfig(n_cells=n, picard_tol=1e-14),
+            g.v, g.u, g.eta, 0.0, 5e-3, s,
+            NumericsConfig(n_cells=n, picard_tol=1e-14),
             residual_history=residuals,
         )
         assert iters >= 2
@@ -350,7 +350,8 @@ class TestEtaOutflowPicard:
                       u=-0.4 * np.linspace(0.0, 1.0, n + 1) ** 2, eta=1.0)
         s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -0.4)
         eta_new, eta_dot, iters = eta_update_outflow_picard(
-            g, 0.0, 5e-3, s, NumericsConfig(n_cells=n, picard_tol=1e-14)
+            g.v, g.u, g.eta, 0.0, 5e-3, s,
+            NumericsConfig(n_cells=n, picard_tol=1e-14)
         )
         assert iters == 6
         assert (eta_new, eta_dot) == (0.9979630668646462, -0.4073866270707662)
@@ -359,7 +360,8 @@ class TestEtaOutflowPicard:
         g = uniform_grid(8, v=1.0, u=-1.0, eta=0.005)
         s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -1.0)
         with pytest.raises(MassDepletionEvent):
-            eta_update_outflow_picard(g, 0.0, 1e-2, s, NumericsConfig(n_cells=8))
+            eta_update_outflow_picard(g.v, g.u, g.eta, 0.0, 1e-2, s,
+                                      NumericsConfig(n_cells=8))
 
     @pytest.mark.parametrize("flux", OUTFLOW_FLUXES)
     @pytest.mark.parametrize("n", OUTFLOW_SIZES)
@@ -384,14 +386,13 @@ class TestEtaOutflowPicard:
         cfg = NumericsConfig(n_cells=n)
         for seed in range(4):
             v, u, eta, dt, eta_dot = random_outflow_case(n, flux, seed)
-            grid = GridState(v=v, u=u, eta=eta)
             u_out = eta_dot * float(v[-1])
             s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: u_out)
             for guess in (None, eta_dot, 0.9 * eta_dot - 1e-6, 0.5):
                 for step_dt in (dt, 0.5 * dt):
-                    expected = picard_outcome(vector_picard, grid, 0.0, step_dt, s,
-                                              cfg, initial_guess=guess)
-                    got = picard_outcome(eta_update_outflow_picard, grid, 0.0,
+                    expected = picard_outcome(vector_picard, v, u, eta, 0.0,
+                                              step_dt, s, cfg, initial_guess=guess)
+                    got = picard_outcome(eta_update_outflow_picard, v, u, eta, 0.0,
                                          step_dt, s, cfg, initial_guess=guess)
                     assert got == expected, (seed, guess, step_dt)
 
@@ -399,9 +400,11 @@ class TestEtaOutflowPicard:
         g = uniform_grid(8, v=1.0, u=-1.0)
         s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -1.0)
         cfg = NumericsConfig(n_cells=8)
-        got = picard_outcome(eta_update_outflow_picard, g, 0.0, 0.1, s, cfg)
+        got = picard_outcome(eta_update_outflow_picard, g.v, g.u, g.eta,
+                             0.0, 0.1, s, cfg)
         assert got[0] is CflViolation
-        assert got == picard_outcome(vector_picard, g, 0.0, 0.1, s, cfg)
+        assert got == picard_outcome(vector_picard, g.v, g.u, g.eta,
+                                     0.0, 0.1, s, cfg)
 
     def test_boundary_vacuum_rejects_naming_the_last_cell(self):
         # a strong expansion at the open end empties the boundary cell
@@ -411,10 +414,12 @@ class TestEtaOutflowPicard:
         g = GridState(v=np.full(n, 0.5), u=u, eta=1.0)
         s = BoundarySchedule(t_star=0.0, t_end=1.0, u_out=lambda t: -0.1)
         cfg = NumericsConfig(n_cells=n)
-        got = picard_outcome(eta_update_outflow_picard, g, 0.0, 1e-2, s, cfg)
+        got = picard_outcome(eta_update_outflow_picard, g.v, g.u, g.eta,
+                             0.0, 1e-2, s, cfg)
         assert got[0] is VacuumError
         assert "(cell 7, v=-" in got[1]
-        assert got == picard_outcome(vector_picard, g, 0.0, 1e-2, s, cfg)
+        assert got == picard_outcome(vector_picard, g.v, g.u, g.eta,
+                                     0.0, 1e-2, s, cfg)
 
     def test_nan_flux_is_a_domain_collapse(self):
         # u_out is NaN only at the step midpoint, which the schedule's
@@ -423,10 +428,12 @@ class TestEtaOutflowPicard:
                              u_out=lambda t: float("nan") if t == 5e-3 else -0.1)
         g = uniform_grid(8)
         cfg = NumericsConfig(n_cells=8)
-        got = picard_outcome(eta_update_outflow_picard, g, 0.0, 1e-2, s, cfg)
+        got = picard_outcome(eta_update_outflow_picard, g.v, g.u, g.eta,
+                             0.0, 1e-2, s, cfg)
         assert got == (ValueError, "domain collapse: eta must be positive, got nan",
                        None)
-        assert got == picard_outcome(vector_picard, g, 0.0, 1e-2, s, cfg)
+        assert got == picard_outcome(vector_picard, g.v, g.u, g.eta,
+                                     0.0, 1e-2, s, cfg)
 
 
 class TestStep:
@@ -494,8 +501,9 @@ class TestStep:
         cfg = NumericsConfig(n_cells=n)
         state = SimState(t=0.0, grid=grid, piston=PistonState(b=1.0, b_dot=0.0),
                          regime="outflow", dt_next=1.0)
-        dt = dt_stability_bound(grid, -0.2, p, cfg)
-        eta_new, eta_dot, _ = eta_update_outflow_picard(grid, 0.0, dt, s, cfg)
+        dt = dt_stability_bound(grid.v, grid.eta, -0.2, p, cfg)
+        eta_new, eta_dot, _ = eta_update_outflow_picard(grid.v, grid.u, grid.eta,
+                                                        0.0, dt, s, cfg)
         c = coefficients_alpha_beta(0.5 * (1.0 + eta_new), eta_dot, grid.z_edges)
         with pytest.raises(VacuumError, match=r"\(cell 3,"):
             _transport(v, u, c.alpha, c.beta, eta_dot, dt, cfg.cfl_advection)
