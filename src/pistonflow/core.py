@@ -36,6 +36,25 @@ def _frozen_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_grid_values(v: np.ndarray, u: np.ndarray, eta: float) -> None:
+    """``GridState``'s value checks past the layout and v > 0, shared with
+    ``solver._advance``; the bare ufunc reductions skip the per-call cost of
+    the ``.max()``/``.all()`` method wrappers."""
+    if not (np.maximum.reduce(v) < math.inf
+            and np.logical_and.reduce(np.isfinite(u))):
+        raise ValueError("v and u must be finite in every cell and edge")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
+def _check_piston_values(b: float, b_dot: float) -> None:
+    """``PistonState``'s checks, shared with ``solver._advance``."""
+    if not b > 0.0:
+        raise ValueError(f"piston position must be positive, got {b}")
+    if not (math.isfinite(b) and math.isfinite(b_dot)):
+        raise ValueError(f"piston state must be finite, got {b}, {b_dot}")
+
+
 @dataclass(frozen=True)
 class Params:
     """Physical constants: viscosity, adiabatic exponent, spring and damper.
@@ -92,10 +111,7 @@ class GridState:
             )
         if not (v.size and v.min() > 0.0):  # NaN fails too
             raise ValueError("specific volume must be positive in every cell")
-        if not (v.max() < math.inf and np.isfinite(u).all()):
-            raise ValueError("v and u must be finite in every cell and edge")
-        if not 0.0 < self.eta < math.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        _check_grid_values(v, u, self.eta)
 
     @property
     def n_cells(self) -> int:
@@ -133,10 +149,7 @@ class PistonState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "b_dot", float(self.b_dot))
-        if not self.b > 0.0:
-            raise ValueError(f"piston position must be positive, got {self.b}")
-        if not (math.isfinite(self.b) and math.isfinite(self.b_dot)):
-            raise ValueError(f"piston state must be finite, got {self.b}, {self.b_dot}")
+        _check_piston_values(self.b, self.b_dot)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ the G exponent and the 1/v bound on the first outflow state it is given.  The
 driver switches regime exactly at t_star and converts terminal solver events
 into a ``RunResult`` with the documented exit codes.
 A ``SimState`` is built only for a state that leaves the loop: for the
-``progress`` callback and for the snapshots, which are those ``SimState``s
-themselves; ``snapshot_of``/``state_from_snapshot`` give the JSON.
+``progress`` callback, which gets every state, and for the snapshots, which
+are those ``SimState``s themselves; ``snapshot_of``/``state_from_snapshot``
+give the JSON.
 """
 
 from __future__ import annotations
@@ -223,12 +224,14 @@ class _Record:
         if regime == "inflow":
             rho_b = float(schedule.rho_in(min(t, schedule.t_star)))
             v_b = 1.0 / rho_b
+            if v_b <= 0.0:  # pressure_q's check; the schedule is only sampled
+                raise ValueError("specific volume must be positive")
             flux = float(schedule.u_in(min(t, schedule.t_star))) * rho_b
         else:
             v_b = float(v[-1])
             flux = float(schedule.u_out(t)) / v_b
         # sigma = mu u_y / v - q with the boundary cell's mass-coordinate gradient;
-        # q is pressure_q's ufunc on a 0-d array, v_b > 0 is a checked cell or 1/rho_in
+        # q is pressure_q's ufunc on a 0-d array, v_b > 0 is a checked value
         u_y_b = (-1.0 / eta) * ((u_b - float(u[-2])) / self._dz)
         sigma_b = (params.mu * u_y_b / v_b
                    - float(np.asarray(v_b, dtype=float) ** (-params.gamma)))
@@ -338,31 +341,38 @@ def run_simulation(
     stats: dict = {}
     t_switch = schedule.t_star - _instant_tol(schedule.t_star)
     t_stop = schedule.t_end - _instant_tol(schedule.t_end)
-    # one scope per run, summary included: a monitor that overflows reads inf,
-    # and a non-finite momentum system in _advance raises its ValueError,
-    # without a numpy warning first; the run still ends on the errors below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # one scope per run, summary included: a monitor that overflows reads inf
+    # without a numpy warning; the run still ends on the errors below
+    with np.errstate(over="ignore"):
         try:
             record.add(t, v, u, eta, b, b_dot, regime)
-            while t < t_stop:
-                if regime == "inflow" and t >= t_switch:
-                    regime = "outflow"
-                    # zero-duration anchor row: outflow reference for the
-                    # exponential bound and the regime flip of the boundary rates
+            # a non-finite momentum system in _advance raises its ValueError
+            # without a numpy warning first.  The scope is entered once around
+            # the loop, not per step, so the loop's rows and block flushes
+            # give no invalid-value warning either; the first row, the last
+            # flush and the summary do
+            with np.errstate(invalid="ignore"):
+                while t < t_stop:
+                    if regime == "inflow" and t >= t_switch:
+                        regime = "outflow"
+                        # zero-duration anchor row: outflow reference for the
+                        # exponential bound and the regime flip of the boundary
+                        # rates
+                        record.add(t, v, u, eta, b, b_dot, regime)
+                        continue
+                    t, v, u, eta, b, b_dot, dt_next, hint = _advance(
+                        t, v, u, eta, b, b_dot, regime == "outflow", dt_next, hint,
+                        schedule, params, cfg, stats)
+                    step_index += 1
                     record.add(t, v, u, eta, b, b_dot, regime)
-                    continue
-                t, v, u, eta, b, b_dot, dt_next, hint = _advance(
-                    t, v, u, eta, b, b_dot, regime == "outflow", dt_next, hint,
-                    schedule, params, cfg, stats)
-                step_index += 1
-                record.add(t, v, u, eta, b, b_dot, regime)
-                snapshot = snapshot_every > 0 and step_index % snapshot_every == 0
-                if progress is not None or snapshot:
-                    state = _state_of(regime, t, v, u, eta, b, b_dot, dt_next, hint)
-                    if progress is not None:
-                        progress(state)
-                    if snapshot:
-                        snapshots.append(state)
+                    snapshot = snapshot_every > 0 and step_index % snapshot_every == 0
+                    if progress is not None or snapshot:
+                        state = _state_of(regime, t, v, u, eta, b, b_dot, dt_next,
+                                          hint)
+                        if progress is not None:
+                            progress(state)
+                        if snapshot:
+                            snapshots.append(state)
         except ContactEvent as event:
             exit_code, event_time = EXIT_CONTACT, event.time
         except MassDepletionEvent as event:

@@ -160,3 +160,16 @@ def test_pure_inflow_record_has_no_bound_ratio():
     series, rec = record(random_states(48, 10, seed=9, regime="inflow", t0=0.0))
     assert np.isnan(series.column("G_exponent")).all()
     assert rec.ratio_max == 0.0
+
+
+def test_nonpositive_inflow_volume_raises():
+    """The schedule is validated on samples only; a density that is negative
+    at the time of a row still raises, as ``pressure_q`` does."""
+    schedule = BoundarySchedule(t_star=5.0, t_end=10.0, u_in=lambda t: 0.2,
+                                rho_in=lambda t: -1.0 if t == 0.123 else 1.1,
+                                u_out=lambda t: -0.3)
+    state = random_states(8, 1, seed=10, regime="inflow", t0=0.0)[0]
+    rec = run._Record(RunSeries(), schedule, PARAMS, state.grid)
+    with pytest.raises(ValueError, match="^specific volume must be positive$"):
+        rec.add(0.123, state.grid.v, state.grid.u, state.grid.eta,
+                state.piston.b, state.piston.b_dot, "inflow")
