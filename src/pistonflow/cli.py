@@ -3,7 +3,8 @@
 Exit status contract (stable interface for sweep scripts):
 0 completed, 2 piston contact, 3 mass depletion, 4 numerical failure, bad
 configuration or a usage error (argparse's own code 2 would read as contact).
-``verify`` exits 0 when every criterion passes and 1 otherwise.
+``verify`` exits 0 when every criterion passes and 1 otherwise; a criterion
+that raises prints one ``[FAIL]`` line and the rest still run.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     return dataclasses.replace(config, numerics=numerics, outputs=outputs)
 
 
+def _one_line(exc: Exception) -> str:
+    """``<Type>: <message>`` of an exception, its whitespace runs as one space."""
+    return f"{type(exc).__name__}: {' '.join(str(exc).split())}"
+
+
 def _internal_error_exits_four(command):
     """Turn an exception the command does not handle into one line and exit 4."""
 
@@ -109,9 +115,7 @@ def _internal_error_exits_four(command):
         try:
             return command(args)
         except Exception as exc:
-            message = " ".join(str(exc).split())
-            print(f"internal error: {type(exc).__name__}: {message}",
-                  file=sys.stderr)
+            print(f"internal error: {_one_line(exc)}", file=sys.stderr)
             return EXIT_FAILURE
 
     return guarded
@@ -192,7 +196,13 @@ def cmd_verify(args) -> int:
 
     failed: List[str] = []
     for criterion in acceptance.SUITES[args.suite]:
-        check = criterion()
+        try:
+            check = criterion()
+        except Exception as exc:
+            # a criterion that raises fails in one line; the others still run
+            print(f"[FAIL] {criterion.__name__}: {_one_line(exc)}")
+            failed.append(criterion.__name__)
+            continue
         print(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
         if not check.passed:
             failed.append(check.name)

@@ -6,9 +6,10 @@ monitored values per accepted step in the columnar ``RunSeries`` (the
 energy-budget rates are stored; their time integrals are derived from the
 columns).  The record (``_Record``) takes the same plain values and works in
 blocks: a row's scalar terms are computed when its state is accepted, so a
-monitor that overflows ends the run at that row; its ``v``/``u`` are staged,
-and the array monitors of a whole block of rows are computed at once, with
-the bits of the per-state functions in ``diagnostics``.  The record anchors
+monitor that overflows ends the run at that row; its ``v``, cell-centred
+``u`` (which its ``u_l2`` uses too) and differences of ``u`` are staged, and
+the array monitors of a whole block of rows are computed at once, in place,
+with the bits of the per-state functions in ``diagnostics``.  The record anchors
 the G exponent and the 1/v bound on the first outflow state it is given.  The
 driver switches regime exactly at t_star and converts terminal solver events
 into a ``RunResult`` with the documented exit codes.
@@ -138,32 +139,51 @@ def build_initial_state(
 
 def _eulerian_mass_rows(v: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """``total_mass_eulerian`` of each row: ``reconstruct_eulerian`` (cell
-    volumes summed from the open end, 1/v at the edges), then the trapezoid."""
+    volumes summed from the open end, 1/v at the edges), then the trapezoid
+    ``d * (y[1:] + y[:-1]) / 2.0`` of ``np.trapezoid``, summed per row.  The
+    open-end-first arrays are built contiguous, not as reversed views."""
     rows, n = v.shape
-    x = np.zeros((rows, n + 1))
-    np.cumsum((v * dy[:, None])[:, ::-1], axis=1, out=x[:, 1:])
-    v_edges = np.empty((rows, n + 1))
-    v_edges[:, 1:-1] = 0.5 * (v[:, :-1] + v[:, 1:])
-    v_edges[:, 0] = np.maximum(1.5 * v[:, 0] - 0.5 * v[:, 1], 0.5 * v[:, 0])
-    v_edges[:, -1] = np.maximum(1.5 * v[:, -1] - 0.5 * v[:, -2], 0.5 * v[:, -1])
-    return np.trapezoid(1.0 / v_edges[:, ::-1], x, axis=1)
+    v_open_first = v[:, ::-1]
+    widths = v_open_first * dy[:, None]
+    x = np.empty((rows, n + 1))
+    x[:, 0] = 0.0
+    np.cumsum(widths, axis=1, out=x[:, 1:])
+    rho = np.empty((rows, n + 1))  # v at the edges, open end first, then 1/v
+    np.add(v_open_first[:, 1:], v_open_first[:, :-1], out=rho[:, 1:-1])
+    rho[:, 1:-1] *= 0.5
+    rho[:, 0] = np.maximum(1.5 * v[:, -1] - 0.5 * v[:, -2], 0.5 * v[:, -1])
+    rho[:, -1] = np.maximum(1.5 * v[:, 0] - 0.5 * v[:, 1], 0.5 * v[:, 0])
+    np.divide(1.0, rho, out=rho)
+    mass = np.subtract(x[:, 1:], x[:, :-1], out=widths)
+    mass *= rho[:, 1:] + rho[:, :-1]
+    mass /= 2.0
+    return np.add.reduce(mass, axis=1)
 
 
-def _fluid_energy_rows(v: np.ndarray, u: np.ndarray, dy: np.ndarray,
+def _fluid_energy_rows(v: np.ndarray, u_c: np.ndarray, dy: np.ndarray,
                        gamma: float) -> np.ndarray:
     """The fluid part of ``energy`` of each row: midpoint quadrature of
-    u^2/2 - Q(v)."""
-    u_c = 0.5 * (u[:, :-1] + u[:, 1:])
-    q_pot = v ** (1.0 - gamma) / (1.0 - gamma)
-    return np.sum(0.5 * u_c * u_c - q_pot, axis=1) * dy
+    u^2/2 - Q(v), with ``u_c`` the cell-centred velocities."""
+    density = 0.5 * u_c
+    density *= u_c
+    q_pot = v ** (1.0 - gamma)
+    q_pot /= 1.0 - gamma
+    density -= q_pot
+    return np.add.reduce(density, axis=1) * dy
 
 
-def _dissipation_rows(v: np.ndarray, u: np.ndarray, eta: np.ndarray,
+def _dissipation_rows(v: np.ndarray, du: np.ndarray, eta: np.ndarray,
                       dy: np.ndarray, mu: float) -> np.ndarray:
     """Viscous dissipation rate of each row, mu u_y^2 / v over the mass
-    coordinate, with u_y = alpha u_z the velocity gradient per cell."""
-    u_y = (-1.0 / eta)[:, None] * (np.diff(u, axis=1) / (1.0 / v.shape[1]))
-    return np.sum(mu / v * u_y * u_y, axis=1) * dy
+    coordinate, with u_y = alpha u_z the velocity gradient per cell.  ``du``
+    holds each row's ``np.diff(u)``; it is overwritten with u_y."""
+    u_y = du
+    u_y /= 1.0 / v.shape[1]
+    u_y *= (-1.0 / eta)[:, None]
+    rate = mu / v
+    rate *= u_y
+    rate *= u_y
+    return np.add.reduce(rate, axis=1) * dy
 
 
 def _block_rows(n_cells: int) -> int:
@@ -179,14 +199,16 @@ class _Record:
     the state's scalar terms at once (boundary values and
     rates, ``u_l2``, the piston and spring energy, the G exponent and
     exp(G)) in the order in which they can raise ``OverflowError``, then
-    stages the state's ``v`` and ``u``; a state that raises is never staged,
-    so a run ends at the first row whose monitors overflow.
+    stages the state's ``v``, its cell-centred ``u``, from which ``u_l2`` was
+    computed, and ``np.diff(u)``; a state that raises is never staged, so a
+    run ends at the first row whose monitors overflow.
     The first outflow state ``add`` is given anchors the bound (in a run, the
     initial outflow state or the one switched at t_star): its ``v``/``eta``
     are v*/eta* of the 1/v bound, its piston values and ``u_l2`` the
     references of the G exponent, whose spring trapezoid is kept
     incrementally.  ``flush`` computes the array monitors of all staged rows
-    with axis-1 operations: the elementwise operations of
+    with axis-1 operations, in place where a value is used once: the
+    elementwise operations of
     ``reconstruct_eulerian`` plus ``np.trapezoid``, ``energy`` and
     ``volume_bound_ratio``, in the same order, so every value has the bits of
     the per-state functions; the outflow rows' bound ratio is folded into
@@ -207,12 +229,16 @@ class _Record:
         self._params = params
         self._z_centers = grid.z_centers
         self._dz = grid.dz
+        # per staged row: v, the cell-centred u and the differences of u
         self._v = np.empty((rows, grid.n_cells))
-        self._u = np.empty((rows, grid.n_cells + 1))
+        self._u_c = np.empty((rows, grid.n_cells))
+        self._du = np.empty((rows, grid.n_cells))
         self._staged: List[tuple] = []
         self.ratio_max = 0.0
-        # (v*, eta*, b, b_dot, u_l2) at the outflow start, None until then
+        # (v*, eta*, b, b_dot, u_l2) at the outflow start, None until then,
+        # and the cell centres of v*, at which the bound samples it
         self._anchor: Optional[tuple] = None
+        self._z_centers_star: Optional[np.ndarray] = None
         self._t_prev = self._spring_prev = self._spring_integral = 0.0
 
     def add(self, t: float, v: np.ndarray, u: np.ndarray, eta: float, b: float,
@@ -235,14 +261,18 @@ class _Record:
         u_y_b = (-1.0 / eta) * ((u_b - float(u[-2])) / self._dz)
         sigma_b = (params.mu * u_y_b / v_b
                    - float(np.asarray(v_b, dtype=float) ** (-params.gamma)))
-        u_c = 0.5 * (u[:-1] + u[1:])
-        u_l2 = math.sqrt(np.sum(u_c * u_c) * (eta / v.size))  # velocity_l2
+        row = len(self._staged)
+        u_c = self._u_c[row]
+        np.add(u[:-1], u[1:], out=u_c)
+        u_c *= 0.5
+        u_l2 = math.sqrt(np.add.reduce(u_c * u_c) * (eta / v.size))  # velocity_l2
 
         g_value = exp_g = math.nan
         if regime == "outflow":
             spring = params.stiffness_K * (b - params.b_rest)
             if self._anchor is None:
                 self._anchor = (v, eta, b, b_dot, u_l2)
+                self._z_centers_star = (np.arange(v.size) + 0.5) / v.size
                 self._t_prev, self._spring_prev = t, spring
             _, eta_star, b_star, b_dot_star, u_l2_star = self._anchor
             self._spring_integral += (
@@ -261,9 +291,8 @@ class _Record:
         outflux_rate = -u_b / (params.gamma - 1.0) * v_b ** (-params.gamma)
         work_rate = flux * 0.5 * u_b * u_b - u_b * sigma_b
 
-        row = len(self._staged)
         self._v[row] = v
-        self._u[row] = u
+        np.subtract(u[1:], u[:-1], out=self._du[row])
         self._staged.append((
             t, b, b_dot, eta, regime, g_value,
             u_l2, v_b, damping_rate, outflux_rate, work_rate, exp_g,
@@ -279,10 +308,10 @@ class _Record:
             return
         terms = dict(zip(self._TERMS, zip(*self._staged)))
         params = self._params
-        v, u = self._v[:rows], self._u[:rows]
+        v, u_c, du = self._v[:rows], self._u_c[:rows], self._du[:rows]
         eta = np.array(terms["eta"])
         dy = eta / v.shape[1]  # GridState.dy per row
-        total_energy = (_fluid_energy_rows(v, u, dy, params.gamma)
+        total_energy = (_fluid_energy_rows(v, u_c, dy, params.gamma)
                         + np.array(terms.pop("piston_energy"))
                         + np.array(terms.pop("spring_energy")))
         exp_g = np.array(terms.pop("exp_g"))
@@ -291,23 +320,26 @@ class _Record:
             # volume_bound_ratio of the outflow rows: the reference profile
             # at the mass labels of the current cells
             v_star, eta_star = self._anchor[:2]
-            z_centers_star = (np.arange(v_star.size) + 0.5) / v_star.size
             z_matched = self._z_centers * (eta[outflow] / eta_star)[:, None]
-            v_ref = np.interp(z_matched.ravel(), z_centers_star, v_star)
-            ratio = (1.0 / v[outflow]) / (
-                (1.0 / v_ref.reshape(z_matched.shape)) * exp_g[outflow][:, None]
-            )
+            bound = np.interp(z_matched.ravel(), self._z_centers_star, v_star)
+            np.divide(1.0, bound, out=bound)
+            bound = bound.reshape(z_matched.shape)
+            bound *= exp_g[outflow][:, None]
+            ratio = v[outflow]  # a copy
+            np.divide(1.0, ratio, out=ratio)
+            ratio /= bound
             # Python's max in row order, as a running max over single rows
-            self.ratio_max = max(self.ratio_max, *np.max(ratio, axis=1).tolist())
+            self.ratio_max = max(self.ratio_max,
+                                 *np.maximum.reduce(ratio, axis=1).tolist())
 
         self._series.extend(
             **terms,
             mass_eulerian=_eulerian_mass_rows(v, dy).tolist(),
             energy=total_energy.tolist(),
-            min_v=np.min(v, axis=1).tolist(),
-            max_v=np.max(v, axis=1).tolist(),
-            b_recon=(np.sum(v, axis=1) * dy).tolist(),
-            dissipation_rate=_dissipation_rows(v, u, eta, dy, params.mu).tolist(),
+            min_v=np.minimum.reduce(v, axis=1).tolist(),
+            max_v=np.maximum.reduce(v, axis=1).tolist(),
+            b_recon=(np.add.reduce(v, axis=1) * dy).tolist(),
+            dissipation_rate=_dissipation_rows(v, du, eta, dy, params.mu).tolist(),
         )
         self._staged.clear()
 

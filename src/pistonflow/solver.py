@@ -18,7 +18,11 @@ dt_next, hint); ``step`` wraps it, and ``run.run_simulation`` loops over it.
 It makes the checks the state constructors make on a stepped state, except
 those the step guarantees, so no state is built or re-validated per step;
 ``_state_of`` builds the ``SimState`` of a state that leaves the loop.  The
-outflow Picard loop and the dt bound take plain values too.
+outflow Picard loop and the dt bound take plain values too.  The array
+kernels ``_transport`` and ``_momentum`` compute each value once, in place in
+arrays made for the call, with the float operations of the plain expressions
+in the same order; no array outlives the step that made it except the new
+``v`` and ``u``, which a later step never writes to.
 """
 
 from __future__ import annotations
@@ -209,29 +213,42 @@ def _check_clock(t: float, dt_next: float, hint: Optional[float]) -> None:
 def _transport(v: np.ndarray, u: np.ndarray, alpha: float, beta: np.ndarray,
                eta_dot: float, dt: float, cfl: float, v_open: Optional[float] = None,
                source: Optional[np.ndarray] = None) -> np.ndarray:
-    """Plain-array kernel of ``transport_update``: the new specific volume."""
-    dz = 1.0 / v.size
-    max_beta = float(np.abs(beta).max())
+    """Plain-array kernel of ``transport_update``: the new specific volume.
+
+    Per cell, v + dt * (alpha * du / dz - beta_c * grad), evaluated in place
+    in arrays made for this call, so each value is computed once.
+    """
+    n = v.size
+    dz = 1.0 / n
+    max_beta = float(np.maximum.reduce(np.abs(beta)))
     if max_beta * dt > cfl * dz * (1.0 + 1e-12):
         raise CflViolation(
             f"advective CFL violated: max|beta|*dt={max_beta * dt:.3e} "
             f"> {cfl}*dz={cfl * dz:.3e}"
         )
-    div = alpha * (u[1:] - u[:-1]) / dz
-    grad = np.zeros(v.size)
+    grad = np.empty(n)
     if eta_dot <= 0.0:
         # beta >= 0: wind blows from the piston side; zero-gradient ghost there
-        grad[1:] = (v[1:] - v[:-1]) / dz
+        grad[0] = 0.0
+        upwind = grad[1:]
     else:
         # beta < 0: wind blows from the open end
-        grad[:-1] = (v[1:] - v[:-1]) / dz
-        if v_open is not None:
-            grad[-1] = (v_open - v[-1]) / (0.5 * dz)
-    beta_centers = 0.5 * (beta[:-1] + beta[1:])
-    v_new = v + dt * (div - beta_centers * grad)
+        grad[-1] = 0.0 if v_open is None else (v_open - v[-1]) / (0.5 * dz)
+        upwind = grad[:-1]
+    np.subtract(v[1:], v[:-1], out=upwind)
+    upwind /= dz
+    advection = np.add(beta[:-1], beta[1:])  # beta at the cell centres
+    advection *= 0.5
+    advection *= grad
+    v_new = np.subtract(u[1:], u[:-1])  # the divergence alpha * du / dz
+    v_new *= alpha
+    v_new /= dz
+    v_new -= advection
+    v_new *= dt
+    v_new += v
     if source is not None:
-        v_new = v_new + dt * np.asarray(source, dtype=float)
-    if not v_new.min() > 0.0:  # NaN fails too, with GridState's ValueError
+        v_new += dt * np.asarray(source, dtype=float)
+    if not np.minimum.reduce(v_new) > 0.0:  # NaN fails too, with GridState's ValueError
         if (v_new <= 0.0).any():
             worst = int(np.argmin(v_new))
             raise VacuumError(
@@ -283,28 +300,38 @@ def _momentum(v: np.ndarray, u: np.ndarray, alpha: float, beta: np.ndarray,
     q = v ** (-params.gamma)  # v > 0: checked by _transport or GridState
     lam = mu * alpha * alpha / (dz * dz)
 
-    work = np.zeros((4, n + 1))
     # lower[j] couples row j to u[j-1], upper[j] row j to u[j+1]
-    diag, lower, upper, rhs = work
+    matrix = np.zeros((3, n + 1))
+    diag, lower, upper = matrix
+    rhs = np.empty(n + 1)
 
     # interior edges j = 1..n-1: cell j sits right of edge j (toward the
     # open end), cell j-1 left of it (toward the piston); du[j] = u[j+1] - u[j]
     inv_v = 1.0 / v
     inv_r, inv_l = inv_v[1:], inv_v[:-1]
     du = u[1:] - u[:-1]
-    visc_expl = lam * (du[1:] * inv_r - du[:-1] * inv_l)
-    press = -alpha * (q[1:] - q[:-1]) / dz
-    if eta_dot <= 0.0:
-        adv = beta[1:-1] * du[:-1] / dz
-    else:
-        adv = beta[1:-1] * du[1:] / dz
-    rhs[1:-1] = u[1:-1] + dt * (-adv + (1.0 - theta) * visc_expl + press)
+    flux = du * inv_v  # du / v per cell; edge j takes flux[j] - flux[j-1]
+    interior = flux[1:] - flux[:-1]
+    interior *= lam  # the explicit viscous term visc_expl
+    # kept at theta = 1, where it is a zero, or NaN where visc_expl is not finite
+    interior *= 1.0 - theta
+    adv = beta[1:-1] * (du[:-1] if eta_dot <= 0.0 else du[1:])
+    adv /= dz
+    interior -= adv  # x - adv is x + (-adv), bit for bit
+    press = np.subtract(q[1:], q[:-1], out=adv)
+    press *= -alpha
+    press /= dz
+    interior += press
+    interior *= dt
+    np.add(u[1:-1], interior, out=rhs[1:-1])
     if source_u is not None:
         rhs[1:-1] += dt * np.asarray(source_u, dtype=float)[1:-1]
     c = dt * theta * lam
-    diag[1:-1] = 1.0 + c * (inv_r + inv_l)
-    upper[1:-1] = -c * inv_r
-    lower[1:-1] = -c * inv_l
+    diag_interior = np.add(inv_r, inv_l, out=diag[1:-1])
+    diag_interior *= c
+    diag_interior += 1.0
+    np.multiply(inv_r, -c, out=upper[1:-1])
+    np.multiply(inv_l, -c, out=lower[1:-1])
 
     # piston row (edge 0)
     if pin_piston_to is not None:
@@ -321,9 +348,11 @@ def _momentum(v: np.ndarray, u: np.ndarray, alpha: float, beta: np.ndarray,
     diag[-1] = 1.0
     rhs[-1] = float(bc_velocity)
 
-    if not np.isfinite(work).all():
+    if not (np.logical_and.reduce(np.isfinite(matrix), axis=None)
+            and np.logical_and.reduce(np.isfinite(rhs))):
         raise ValueError("momentum system: array must not contain infs or NaNs")
-    # work is scratch: dgtsv may overwrite all four rows in place
+    # dgtsv overwrites the matrix rows and returns the solution in rhs itself,
+    # an array of this call that the new state owns whole
     _, _, _, u_new, info = dgtsv(lower[1:], diag, upper[:-1], rhs, 1, 1, 1, 1)
     if info > 0:  # pragma: no cover - guarded by v > 0
         raise NumericalFailure(f"singular momentum system (dgtsv info={info})")
@@ -627,14 +656,13 @@ def _state_of(regime: Regime, t: float, v: np.ndarray, u: np.ndarray, eta: float
               hint: Optional[float]) -> SimState:
     """The ``SimState`` of values ``_advance`` returned, built without re-checking.
 
-    ``v`` and ``u`` become read-only, as ``GridState``'s copies are.  ``u`` is
-    copied: ``_momentum`` returns a row of its (4, n+1) work array, which a
-    kept state would otherwise hold whole.  A ``progress`` callback gets
-    every state, so this runs once per step there; at n = 48 it takes 3.0 µs
-    against 11.4 µs for the regular constructors, which copy ``v`` too and
-    re-check (timeit, one Xeon core).
+    ``v`` and ``u`` become read-only, as ``GridState``'s copies are; both are
+    arrays of the step that made them and own their memory (``_momentum``
+    solves into a right-hand side of its own), so nothing is copied.  A
+    ``progress`` callback gets every state, so this runs once per step there;
+    at n = 48 it takes 2.8 µs against 12.4 µs for the regular constructors,
+    which copy ``v`` and ``u`` and re-check (timeit, one Xeon core).
     """
-    u = u.copy()
     v.flags.writeable = False
     u.flags.writeable = False
     grid = object.__new__(GridState)

@@ -563,6 +563,29 @@ class TestVerifyCommand:
         assert "[PASS]" in out
         assert "order" in out
 
+    def test_raising_criterion_fails_in_one_line_and_the_rest_run(
+            self, monkeypatch, capsys):
+        from pistonflow import acceptance
+
+        def criterion_broken():
+            raise ValueError("non-monotone convergence errors:\n[1.0, 2.0]")
+
+        def criterion_fine():
+            return acceptance.CriterionCheck("fine", True, "ok")
+
+        monkeypatch.setitem(acceptance.SUITES, "budget",
+                            [criterion_broken, criterion_fine])
+        code = main(["verify", "budget"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == [
+            "[FAIL] criterion_broken: ValueError: non-monotone convergence "
+            "errors: [1.0, 2.0]",
+            "[PASS] fine: ok",
+        ]
+        assert "Traceback" not in captured.err
+        assert "criterion_broken" in captured.err
+
 
 class TestSeriesRendering:
     def test_round_trip_floats(self):

@@ -3,7 +3,8 @@
 ``run._Record`` stages accepted states and computes the array monitors of a
 block of rows with axis-1 operations.  These tests pin that every value has
 the bits of the public per-state functions, whatever the block size and
-however many rows the last, partial block holds, that a row whose
+however many rows the last, partial block holds, in either regime and with
+velocities of signed zeros and underflowing squares, that a row whose
 scalar terms overflow is never recorded, and that the first outflow row
 anchors the G exponent and the 1/v bound.
 """
@@ -30,16 +31,29 @@ SCHEDULE = BoundarySchedule(t_star=5.0, t_end=10.0, u_in=lambda t: 0.2,
                             rho_in=lambda t: 1.1, u_out=lambda t: -0.3)
 
 
-def random_states(n, rows, seed, regime, t0):
-    """Seeded states with irregular v, u, eta and piston data."""
+def random_states(n, rows, seed, regime, t0, hostile=False):
+    """Seeded states with irregular v, u, eta and piston data.
+
+    ``hostile`` puts exact 0.0 and -0.0 into u, and values of magnitude
+    about 1e-160 and below, subnormal ones among them, whose squares
+    underflow: far cells of an implicit solve from a still state hold such
+    velocities.  Every other row has no other velocities.
+    """
     rng = np.random.default_rng(seed)
     t = t0
     states = []
-    for _ in range(rows):
+    for row in range(rows):
         t += rng.uniform(1e-4, 1e-2)
         b_dot = rng.normal()
         u = rng.normal(scale=0.5, size=n + 1)
         u[0] = b_dot  # velocity continuity at the piston edge
+        if hostile:
+            kind = rng.integers(0, 4 + row % 2, size=n + 1)
+            u[kind == 0] = 0.0
+            u[kind == 1] = -0.0
+            u[kind == 2] *= 1e-161
+            u[kind == 3] *= 1e-310  # subnormal
+            b_dot = float(u[0])
         grid = GridState(v=np.exp(rng.normal(scale=0.6, size=n)), u=u,
                          eta=rng.uniform(0.2, 2.0))
         piston = PistonState(b=rng.uniform(0.5, 3.0), b_dot=b_dot)
@@ -71,11 +85,19 @@ def column_bytes(series):
 
 @pytest.mark.parametrize("n", [4, 48, 1024, 4096])
 def test_block_monitors_match_per_state_functions_bit_for_bit(n):
+    for regime in ("inflow", "outflow"):
+        for hostile in (False, True):
+            check_block_monitors(n, regime, hostile)
+
+
+def check_block_monitors(n, regime, hostile):
     block = run._block_rows(n)
     rows = 2 * block + 1  # two full blocks and a partial one
-    anchor = random_states(n, 1, seed=n, regime="outflow", t0=SCHEDULE.t_star)[0]
-    states = [anchor] + random_states(n, rows - 1, seed=n + 1, regime="outflow",
-                                      t0=anchor.t)
+    t0 = 0.0 if regime == "inflow" else SCHEDULE.t_star
+    anchor = random_states(n, 1, seed=n, regime=regime, t0=t0,
+                           hostile=hostile)[0]
+    states = [anchor] + random_states(n, rows - 1, seed=n + 1, regime=regime,
+                                      t0=anchor.t, hostile=hostile)
     series, rec = record(states)
     assert len(series) == rows and rows % block != 0
 
@@ -93,11 +115,17 @@ def test_block_monitors_match_per_state_functions_bit_for_bit(n):
         u_y = (-1.0 / s.grid.eta) * (np.diff(s.grid.u) / s.grid.dz)
         expected["dissipation_rate"].append(
             float(np.sum(PARAMS.mu / s.grid.v * u_y * u_y) * s.grid.dy))
+    case = (regime, "hostile" if hostile else "normal")
     for name, values in expected.items():
-        assert series.column(name).tolist() == values, name
+        # bytes, so that the sign of a zero counts
+        assert series.column(name).tobytes() == np.array(values).tobytes(), (
+            name, *case)
+    if regime == "inflow":
+        assert np.isnan(g).all() and rec.ratio_max == 0.0, case
+        return
     ratios = [volume_bound_ratio(s, anchor.grid.v, anchor.grid.eta, float(gi))
               for s, gi in zip(states, g)]
-    assert rec.ratio_max == max(ratios)
+    assert rec.ratio_max == max(ratios), case
 
 
 @pytest.mark.parametrize("block", [1, 7, None])

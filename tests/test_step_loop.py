@@ -88,6 +88,7 @@ def test_states_leaving_the_loop_are_sound():
         assert not state.grid.u.flags.writeable
         # no view into a larger work array keeps that array alive
         assert state.grid.v.flags.owndata and state.grid.u.flags.owndata
+        assert state.grid.v.base is None and state.grid.u.base is None
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
