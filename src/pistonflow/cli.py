@@ -136,6 +136,9 @@ def cmd_run(args) -> int:
             return EXIT_FAILURE
     _write_outputs(_output_files(result, config), config.outputs.directory)
     summary = result.summary
+    if result.exit_code == EXIT_FAILURE:
+        print(f"run failed: {' '.join(summary['failure_message'].split())}",
+              file=sys.stderr)
     print(f"status: {summary['status']}")
     if result.event_time is not None:
         print(f"event time: {result.event_time!r}")

@@ -213,11 +213,20 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
         raise ConfigError(
             "[initial] rho0: density must be strictly positive and finite"
         )
+    # the grid holds 1/rho and the run divides by the total mass: the
+    # reciprocal of each must be finite too
+    smallest = 1.0 / np.finfo(float).max
+    if not rho_samples.min() >= smallest:
+        raise ConfigError(
+            f"[initial] rho0: density must be at least {smallest:.3e}, so that "
+            f"1/rho is finite, got {rho_samples.min()!r}"
+        )
     with np.errstate(over="ignore"):
         mass = float(np.sum(0.5 * (rho_samples[1:] + rho_samples[:-1]) * np.diff(xs)))
-    if not math.isfinite(mass):
+    if not smallest <= mass < math.inf:
         raise ConfigError(
-            f"[initial] rho0: total mass over [0, b0] must be finite, got {mass}"
+            f"[initial] rho0: total mass over [0, b0] must be finite and at least "
+            f"{smallest:.3e}, got {mass}"
         )
     initial = InitialConditions(
         rho0=rho0,
@@ -241,9 +250,13 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
             str(sched["u_out"]), (t_star, t_end), "[schedule] u_out", base_dir
         )
     try:
-        schedule = BoundarySchedule(
-            t_star=t_star, t_end=t_end, u_in=u_in, rho_in=rho_in, u_out=u_out
-        )
+        with warnings.catch_warnings():
+            # the format documents u_in = 0 as a closed end, so a scenario
+            # that sets it gets no warning on top of its run's own output
+            warnings.filterwarnings("ignore", "u_in touches zero", UserWarning)
+            schedule = BoundarySchedule(
+                t_star=t_star, t_end=t_end, u_in=u_in, rho_in=rho_in, u_out=u_out
+            )
     except ValueError as exc:
         raise ConfigError(f"[schedule]: {exc}") from exc
 

@@ -67,8 +67,12 @@ class RunSeries:
             return np.array(self._columns[name])
         t = np.array(self._columns["t"])
         rate = np.array(self._columns[name[: -len("_cum")] + "_rate"])
-        # summed from 0.0 in row order: the same bits as a running total
-        steps = 0.5 * np.diff(t) * (rate[:-1] + rate[1:])
+        # summed from 0.0 in row order: the same bits as a running total.  An
+        # infinite rate on the zero-duration row at t_star makes the column
+        # NaN, which series.csv shows; numpy's invalid-value warning would add
+        # nothing
+        with np.errstate(invalid="ignore"):
+            steps = 0.5 * np.diff(t) * (rate[:-1] + rate[1:])
         return np.cumsum(np.concatenate(([0.0], steps)))[: t.size]
 
 
@@ -114,11 +118,14 @@ def energy_budget_residual(series: RunSeries) -> float:
     if len(series) < 2:
         raise ValueError("energy budget needs at least 2 records")
     e = series.column("energy")
-    residual = (
-        e + series.column("dissipation_cum") + series.column("damping_cum")
-        + series.column("outflux_pressure_cum") - e[0]
-        - series.column("boundary_work_cum")
-    )
+    # a budget with infinite terms (inf - inf) is NaN, which the summary
+    # shows; numpy's invalid-value warning would add nothing
+    with np.errstate(invalid="ignore"):
+        residual = (
+            e + series.column("dissipation_cum") + series.column("damping_cum")
+            + series.column("outflux_pressure_cum") - e[0]
+            - series.column("boundary_work_cum")
+        )
     scale = max(abs(e[0]), 1e-300)
     return float(np.max(np.abs(residual)) / scale)
 

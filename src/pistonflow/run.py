@@ -12,7 +12,10 @@ the array monitors of a whole block of rows are computed at once, in place,
 with the bits of the per-state functions in ``diagnostics``.  The record anchors
 the G exponent and the 1/v bound on the first outflow state it is given.  The
 driver switches regime exactly at t_star and converts terminal solver events
-into a ``RunResult`` with the documented exit codes.
+into a ``RunResult`` with the documented exit codes.  It ends an outflow run
+as depleted once its collapse is resolved: at the first accepted step whose
+eta falls below ``solver.ETA_RESOLVED`` times the anchor's eta*, at the time
+eta extrapolates to 0, if the outflow still drains then.
 A ``SimState`` is built only for a state that leaves the loop: for the
 ``progress`` callback, which gets every state, and for the snapshots, which
 are those ``SimState``s themselves; ``snapshot_of``/``state_from_snapshot``
@@ -42,6 +45,7 @@ from .diagnostics import (
     volume_bound_ratio,
 )
 from .solver import (
+    ETA_RESOLVED,
     ContactEvent,
     MassDepletionEvent,
     NumericalFailure,
@@ -241,6 +245,11 @@ class _Record:
         self._z_centers_star: Optional[np.ndarray] = None
         self._t_prev = self._spring_prev = self._spring_integral = 0.0
 
+    @property
+    def eta_star(self) -> Optional[float]:
+        """eta* of the outflow anchor; None until an outflow row was added."""
+        return None if self._anchor is None else self._anchor[1]
+
     def add(self, t: float, v: np.ndarray, u: np.ndarray, eta: float, b: float,
             b_dot: float, regime: str) -> None:
         """Stage the row of a state given by its values; flush a full block."""
@@ -344,6 +353,23 @@ class _Record:
         self._staged.clear()
 
 
+def _resolved_depletion_time(t: float, eta: float, eta_dot: float,
+                             schedule: BoundarySchedule) -> Optional[float]:
+    """Depletion time of a collapse resolved at ``(t, eta)``: eta extrapolated
+    linearly to 0 with the step's converged flux, ``t - eta / eta_dot``.
+
+    None, so that the run carries on, unless the outflow drains up to that
+    time: ``eta_dot < 0``, ``u_out < 0`` at ``t`` and at the extrapolated
+    time, which lies within the horizon.
+    """
+    if not (eta_dot < 0.0 and float(schedule.u_out(t)) < 0.0):
+        return None
+    t_event = float(t - eta / eta_dot)
+    if t_event <= schedule.t_end and float(schedule.u_out(t_event)) < 0.0:
+        return t_event
+    return None
+
+
 def run_simulation(
     params: Params,
     cfg: NumericsConfig,
@@ -358,6 +384,9 @@ def run_simulation(
 
     The loop advances plain values with ``solver._advance``; a ``SimState``
     is built only for a state that leaves it, for ``progress`` or a snapshot.
+    The first accepted outflow step L with eta below ``ETA_RESOLVED * eta*``
+    ends the run as depleted at ``_resolved_depletion_time``, its last row;
+    where that time does not exist, the run carries on to ``solver.ETA_MIN``.
     """
     grid, piston = initial.grid, initial.piston
     t, v, u, eta, b, b_dot = initial.t, grid.v, grid.u, grid.eta, piston.b, piston.b_dot
@@ -376,14 +405,19 @@ def run_simulation(
     # one scope per run, summary included: a monitor that overflows reads inf
     # without a numpy warning; the run still ends on the errors below
     with np.errstate(over="ignore"):
-        try:
-            record.add(t, v, u, eta, b, b_dot, regime)
-            # a non-finite momentum system in _advance raises its ValueError
-            # without a numpy warning first.  The scope is entered once around
-            # the loop, not per step, so the loop's rows and block flushes
-            # give no invalid-value warning either; the first row, the last
-            # flush and the summary do
-            with np.errstate(invalid="ignore"):
+        # the record writes a 0/0 or inf - inf into its row as a NaN, which
+        # series.csv shows, without a numpy warning: every row and flush, the
+        # first and the last too.  A non-finite momentum system in _advance
+        # raises its ValueError without one first.  The scope is entered once
+        # per run, not per step; the summary, outside it, still warns
+        with np.errstate(invalid="ignore"):
+            try:
+                record.add(t, v, u, eta, b, b_dot, regime)
+                # the resolved-collapse level, armed by the outflow anchor; 0.0
+                # (eta > 0 never falls below it) before that and after its one
+                # decision
+                eta_star = record.eta_star
+                resolved = 0.0 if eta_star is None else ETA_RESOLVED * eta_star
                 while t < t_stop:
                     if regime == "inflow" and t >= t_switch:
                         regime = "outflow"
@@ -391,6 +425,7 @@ def run_simulation(
                         # exponential bound and the regime flip of the boundary
                         # rates
                         record.add(t, v, u, eta, b, b_dot, regime)
+                        resolved = ETA_RESOLVED * record.eta_star
                         continue
                     t, v, u, eta, b, b_dot, dt_next, hint = _advance(
                         t, v, u, eta, b, b_dot, regime == "outflow", dt_next, hint,
@@ -405,18 +440,24 @@ def run_simulation(
                             progress(state)
                         if snapshot:
                             snapshots.append(state)
-        except ContactEvent as event:
-            exit_code, event_time = EXIT_CONTACT, event.time
-        except MassDepletionEvent as event:
-            exit_code, event_time = EXIT_DEPLETION, event.time
-        except (NumericalFailure, StepRejected) as event:
-            exit_code, failure_message = EXIT_FAILURE, str(event)
-        except OverflowError as event:
-            # a finite state whose monitored values exceed the float range
-            exit_code = EXIT_FAILURE
-            failure_message = f"floating-point overflow at t={t:.6g}: {event}"
-        # the rows staged before t_end, the event or the failure
-        record.flush()
+                    if eta < resolved:
+                        resolved = 0.0  # decided once, at the first such step
+                        event_time = _resolved_depletion_time(t, eta, hint, schedule)
+                        if event_time is not None:
+                            exit_code = EXIT_DEPLETION
+                            break
+            except ContactEvent as event:
+                exit_code, event_time = EXIT_CONTACT, event.time
+            except MassDepletionEvent as event:
+                exit_code, event_time = EXIT_DEPLETION, event.time
+            except (NumericalFailure, StepRejected) as event:
+                exit_code, failure_message = EXIT_FAILURE, str(event)
+            except OverflowError as event:
+                # a finite state whose monitored values exceed the float range
+                exit_code = EXIT_FAILURE
+                failure_message = f"floating-point overflow at t={t:.6g}: {event}"
+            # the rows staged before t_end, the event or the failure
+            record.flush()
         summary = _summarize(
             series, schedule, exit_code, event_time, initial_bdot_correction,
             g_ratio_max=record.ratio_max,
@@ -453,7 +494,10 @@ def contact_bound_of(
     v_min = float(series.column("v_boundary")[outflow].min())
     bound = contact_time_lower_bound(
         eta_star,
-        schedule.u_out,
+        # the horizon can pass t_end, where a preset extrapolates (a ramp to
+        # 0 turns positive); an open end that takes no mass in there keeps
+        # T3 a lower bound, and min() keeps the bits of a negative u_out
+        lambda t: min(float(schedule.u_out(t)), 0.0),
         v_min,
         t_star=float(series.column("t")[anchor]),
         t_end=max(schedule.t_end, (event_time or 0.0) + 1.0),

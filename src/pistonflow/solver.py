@@ -134,6 +134,10 @@ B_MIN = 1e-8
 #: depletion threshold: the multiplicative decay of eta never reaches 0 in
 #: floating point, so depletion fires at this absolute floor
 ETA_MIN = 1e-8
+#: resolved collapse: an outflow run ends as depleted at the first accepted
+#: step whose eta falls below this fraction of the outflow anchor's eta*
+#: (``run.run_simulation``); ``ETA_MIN`` stays the fallback
+ETA_RESOLVED = 1e-3
 #: halvings of dt allowed before a rejected step becomes a NumericalFailure
 MAX_HALVINGS = 40
 
@@ -603,6 +607,13 @@ def _advance(t: float, v: np.ndarray, u: np.ndarray, eta: float, b: float,
             f"stability bound dt={dt_bound:.3e} at t={t:.6g} is below the time "
             f"resolution {resolution:.3e}"
         )
+    # the bound's floor for dt itself: 1.1 times a subnormal dt rounds back to
+    # it, so such a dt never grows, and from t ~ 1e-308 on never moves t
+    if dt_next < resolution:
+        raise NumericalFailure(
+            f"step dt={dt_next:.3e} at t={t:.6g} is below the time resolution "
+            f"{resolution:.3e}"
+        )
     dt_base = min(dt_next, dt_bound)
     dt = min(dt_base, horizon - t)
     rejected = False
@@ -689,8 +700,9 @@ def step(
     dt starts from ``state.dt_next`` capped by the stability bound, halves on
     rejection (CFL violation, vacuum, Picard failure), and the accepted value
     grows by ``cfg.dt_growth`` for the next step.  Contact and depletion
-    events propagate with interpolated absolute times.  A stability bound too
-    small to move t, below 1e-14 * max(1, |t|), raises ``NumericalFailure``.
+    events propagate with interpolated absolute times.  A stability bound or a
+    ``dt_next`` too small to move t, below 1e-14 * max(1, |t|), raises
+    ``NumericalFailure``.
     ``stats``, when given, counts rejections and Picard iterations.  A thin
     wrapper over ``_advance``, which checks the new state.
     """

@@ -340,6 +340,21 @@ class TestRunCommand:
         assert summary["status"] == "failed"
         assert "overflow" in summary["failure_message"]
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("initial", "b1", "1e300"),  # overflow in the initial record
+        ("schedule", "u_out", "constant:-1e308"),  # dt bound of 1e-309 at t_star
+    ])
+    def test_failed_run_prints_its_cause_in_one_line(self, tmp_path, capsys,
+                                                     section, key, value):
+        ini = tmp_path / "fail.ini"
+        ini.write_text(f"[numerics]\nn_cells = 8\n[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(ini), "--out", str(out)]) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        captured = capsys.readouterr()
+        assert captured.err == f"run failed: {summary['failure_message']}\n"
+        assert captured.out.startswith("status: failed\n")
+
     def test_vanishing_stability_bound_fails_within_seconds(self, tmp_path):
         # gamma = 1e300 makes the acoustic dt bound about 1e-151
         ini = tmp_path / "stiff.ini"
@@ -354,6 +369,36 @@ class TestRunCommand:
         assert proc.returncode == 4, proc.stderr
         summary = json.loads((out / "summary.json").read_text())
         assert "stability bound" in summary["failure_message"]
+
+    def test_u_out_ramp_to_zero_completes(self, tmp_path):
+        # the T3 bound's horizon reaches t = 1, past t_end, where the ramp
+        # preset extrapolates to a positive u_out
+        ini = tmp_path / "ramp.ini"
+        ini.write_text("[numerics]\nn_cells = 4\n[schedule]\nt_star = 0.0\n"
+                       "t_end = 0.125\nu_out = ramp:-0.5,0\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "completed"
+        assert summary["contact_time_lower_bound"] == "inf"
+
+    def test_step_below_the_time_resolution_fails_within_seconds(self, tmp_path):
+        # the smallest subnormal dt: 1.1 times it rounds back to it, so dt
+        # could neither grow nor, from t = 4.4e-308 on, move t
+        ini = tmp_path / "tiny.ini"
+        ini.write_text("[numerics]\nn_cells = 4\ndt_initial = 5e-324\n")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pistonflow.cli", "run", "--config", str(ini),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(pistonflow.__file__).parents[1])},
+        )
+        assert proc.returncode == 4, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failure_message"] == (
+            "step dt=4.941e-324 at t=0 is below the time resolution 1.000e-14")
+        assert proc.stderr == f"run failed: {summary['failure_message']}\n"
 
     # in a child process: in this one, pytest turns a numpy RuntimeWarning
     # into an exception instead of printing it
@@ -382,10 +427,11 @@ class TestRunCommand:
             env={**os.environ, "PYTHONPATH": str(Path(pistonflow.__file__).parents[1])},
         )
         assert proc.returncode == 4
-        assert proc.stderr == ""
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "failed"
         assert "stability bound" in summary["failure_message"]
+        # the cause, in one line, and no numpy warning
+        assert proc.stderr == f"run failed: {summary['failure_message']}\n"
 
     @pytest.mark.parametrize("command", ["run", "estimate-contact"])
     @pytest.mark.parametrize("extra", [

@@ -49,8 +49,8 @@ SCENARIOS = {
 
 GOLDEN = {
     "depletion_n48": (
-        "8790b1651725672df39f8715f1397dce23faa7706ad4af58ba41b334f6803ac9",
-        "e2b75f0341be02130e283b980ece613d3d253fab9858019a3e40711ea67d5b2f",
+        "d02631a9e7869d0ad72a7b10edf0e3d4a283f2ed64efb65661740a066bb6a0f5",
+        "f41b405b08cf7dc85af4c5ca2ff0bb92a6600a72256e11f5de36046b4ccda25e",
     ),
     "fixed_dt": (
         "2da178b0bb8487f430c2a91acef7e09ff490fe16543cba2e08ff0f8afea32230",
@@ -97,7 +97,7 @@ SNAPSHOTS_GOLDEN = (
 
 # stdout of ``estimate-contact`` on ``depletion_n48``
 ESTIMATE_CONTACT_GOLDEN = (
-    "43eb67abbcb5900ee54c18ca981af0e93ae17621cea6c0147e9af7356c7d701e"
+    "ead19111de7a1195b90ebc821c44c44c8f1064008ce22e2167d50e572ec82d55"
 )
 
 
